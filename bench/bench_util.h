@@ -12,6 +12,7 @@
 #pragma once
 
 #include <chrono>
+#include <ctime>
 #include <functional>
 #include <iostream>
 #include <string>
@@ -74,6 +75,23 @@ class WallTimer {
 
  private:
   std::chrono::steady_clock::time_point start_;
+};
+
+/// CPU-time stopwatch for the calling thread: unlike wall time it does not
+/// count the intervals the thread spends descheduled, so A/B ratios of a
+/// single-threaded workload stay stable on a shared machine.
+class ThreadCpuTimer {
+ public:
+  ThreadCpuTimer() : start_(Now()) {}
+  double seconds() const { return Now() - start_; }
+
+ private:
+  static double Now() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+  }
+  double start_;
 };
 
 /// Prints a section banner.

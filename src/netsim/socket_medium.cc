@@ -143,8 +143,10 @@ void SocketMedium::DrainSocket(std::uint16_t port, int fd) {
     socklen_t from_len = sizeof(from);
     ssize_t n = ::recvfrom(fd, buf, sizeof(buf), 0, reinterpret_cast<sockaddr*>(&from), &from_len);
     if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
-      break;  // transient UDP errors (e.g. ECONNREFUSED bounce) — drop and move on
+      if (errno == EINTR) continue;  // a signal interrupted the read, not the queue
+      // EAGAIN: drained. Anything else is a transient UDP error (e.g. an
+      // ECONNREFUSED bounce) — drop it and move on.
+      break;
     }
     ++received_;
     auto it = ports_.find(port);
@@ -166,18 +168,17 @@ void SocketMedium::DrainSocket(std::uint16_t port, int fd) {
   }
 }
 
+SimTime PumpWaitTimeout(std::optional<SimTime> deadline_delay, int max_wait_ms) {
+  const SimTime cap = max_wait_ms < 0 ? SimTime{-1} : max_wait_ms * kMillisecond;
+  if (!deadline_delay) return cap;
+  return cap < 0 || *deadline_delay < cap ? *deadline_delay : cap;
+}
+
 std::uint64_t SocketMedium::Pump(int max_wait_ms) {
   delivered_this_turn_ = 0;
   wall_.AdvanceToWallNow();
 
-  int timeout_ms = max_wait_ms;
-  if (std::optional<SimTime> delay = wall_.NextDeadlineDelay()) {
-    // Round up so we never wake before the deadline (never-early), and never
-    // pass 0 unless a timer is genuinely overdue (no busy-spin).
-    const auto delay_ms = static_cast<int>((*delay + 999'999) / 1'000'000);
-    if (timeout_ms < 0 || delay_ms < timeout_ms) timeout_ms = delay_ms;
-  }
-  loop_.Wait(timeout_ms);
+  loop_.Wait(PumpWaitTimeout(wall_.NextDeadlineDelay(), max_wait_ms));
 
   wall_.AdvanceToWallNow();
   return delivered_this_turn_;

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "core/clock.h"
@@ -32,6 +33,12 @@ NodeId Ipv4ToNode(const std::string& dotted);
 
 /// Formats a host-order IPv4 NodeId as "a.b.c.d".
 std::string NodeToIpv4(NodeId node);
+
+/// The wait timeout of one Pump() turn, in ns: the next timer deadline
+/// (`deadline_delay`, from WallClockDriver::NextDeadlineDelay) unrounded,
+/// capped at `max_wait_ms` (negative = no cap). An overdue deadline gives 0;
+/// an idle wheel gives the cap (-1 = wait for I/O indefinitely).
+SimTime PumpWaitTimeout(std::optional<SimTime> deadline_delay, int max_wait_ms);
 
 class SocketMedium final : public Medium {
  public:
@@ -59,13 +66,16 @@ class SocketMedium final : public Medium {
   // --- driving ----------------------------------------------------------
 
   /// One event-loop turn: advance timers to wall-now, sleep until the next
-  /// deadline (capped at `max_wait_ms`) or until a socket is readable, drain
-  /// and deliver, advance timers again. Returns the number of datagrams
+  /// deadline (capped at `max_wait_ms`; nanosecond-exact where the kernel
+  /// allows, see EventLoop::Wait) or until a socket is readable, drain and
+  /// deliver, advance timers again. Returns the number of datagrams
   /// delivered this turn.
   std::uint64_t Pump(int max_wait_ms);
 
   NodeId local_node() const { return local_node_; }
   const WallClockStats& wall_stats() const { return wall_.stats(); }
+  /// How late each late tick was, in us (WallClockDriver::late_us).
+  const obs::Histogram& wall_late_us() const { return wall_.late_us(); }
 
   std::uint64_t datagrams_sent() const { return sent_; }
   std::uint64_t datagrams_received() const { return received_; }

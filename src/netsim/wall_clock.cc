@@ -4,6 +4,16 @@
 
 namespace vtp::net {
 
+WallClockDriver::WallClockDriver(Simulator* sim, core::ClockSource* clock)
+    : sim_(sim),
+      clock_(clock),
+      // ~1.5x steps from 1 us to 100 ms: fine enough to tell tens of us of
+      // timer slack from a millisecond-rounded poll.
+      late_us_(sim->metrics().NewHistogram(
+          "wallclock.late_us", {1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 70, 100, 150, 200, 300, 500,
+                                700, 1000, 1500, 2000, 3000, 5000, 7000, 10000, 20000, 50000,
+                                100000})) {}
+
 std::uint64_t WallClockDriver::AdvanceToWallNow() {
   const SimTime wall = WallNow();
   ++stats_.advances;
@@ -17,6 +27,7 @@ std::uint64_t WallClockDriver::AdvanceToWallNow() {
     ++stats_.late_ticks;
     const SimTime lateness = wall - *next;
     if (lateness > stats_.max_lateness) stats_.max_lateness = lateness;
+    late_us_->Observe(ToMicros(lateness));
   }
 
   const std::uint64_t before = sim_->events_executed();

@@ -9,11 +9,13 @@
 //     scheduled for t strictly greater than the current wall reading cannot
 //     fire. The driver additionally verifies this invariant on every advance
 //     (assert + a counter CI can gate on).
-//   * No busy-spin. NextDeadlineDelay() tells the poll loop exactly how long
-//     it may sleep; when the wheel is idle it returns nullopt (sleep until a
-//     packet arrives). Late ticks — deadlines that had already passed when
-//     the loop got around to advancing — are executed in one RunUntil batch
-//     and counted as coalesced rather than replayed tick-by-tick.
+//   * No busy-spin. NextDeadlineDelay() tells the poll loop how long it may
+//     sleep; when the wheel is idle it returns nullopt (sleep until a packet
+//     arrives). Late ticks — deadlines that had already passed when the loop
+//     got around to advancing — are executed in one RunUntil batch and
+//     counted as coalesced rather than replayed tick-by-tick. How late each
+//     one was goes into the `wallclock.late_us` histogram of the Simulator's
+//     registry, so a report can say by how much, not only how often.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include "core/clock.h"
 #include "netsim/event_queue.h"
 #include "netsim/time.h"
+#include "obs/metrics.h"
 
 namespace vtp::net {
 
@@ -40,7 +43,8 @@ struct WallClockStats {
 /// the Simulator itself.
 class WallClockDriver {
  public:
-  WallClockDriver(Simulator* sim, core::ClockSource* clock) : sim_(sim), clock_(clock) {}
+  /// Registers the `wallclock.late_us` histogram in `sim`'s registry.
+  WallClockDriver(Simulator* sim, core::ClockSource* clock);
 
   /// Current wall reading in SimTime units (ns).
   SimTime WallNow() { return static_cast<SimTime>(clock_->NowNanos()); }
@@ -55,12 +59,15 @@ class WallClockDriver {
   std::optional<SimTime> NextDeadlineDelay();
 
   const WallClockStats& stats() const { return stats_; }
+  /// Lateness (wall - earliest deadline, in us) of every late tick.
+  const obs::Histogram& late_us() const { return *late_us_; }
   Simulator& sim() { return *sim_; }
 
  private:
   Simulator* sim_;
   core::ClockSource* clock_;
   WallClockStats stats_;
+  obs::Histogram* late_us_;
 };
 
 }  // namespace vtp::net

@@ -856,10 +856,26 @@ net::SimTime QuicConnection::PtoInterval() const {
 }
 
 void QuicConnection::ArmPto() {
+  pto_deadline_ = endpoint_->medium().sim().now() + (PtoInterval() << std::min(pto_backoff_, 6));
+  // One pending timer per connection. A later deadline (the common case:
+  // every send pushes it out) is picked up when the pending timer fires;
+  // only an earlier one (srtt shrank, backoff reset) needs a new event.
+  if (!pto_timer_armed_ || pto_deadline_ < pto_timer_at_) SchedulePtoTimer(pto_deadline_);
+}
+
+void QuicConnection::SchedulePtoTimer(net::SimTime at) {
   const std::uint64_t epoch = ++pto_epoch_;
-  const net::SimTime when = PtoInterval() << std::min(pto_backoff_, 6);
-  endpoint_->medium().sim().After(when, [this, epoch] {
-    if (epoch == pto_epoch_) OnPto();
+  pto_timer_armed_ = true;
+  pto_timer_at_ = at;
+  endpoint_->medium().sim().At(at, [this, epoch] {
+    if (epoch != pto_epoch_) return;  // superseded by an earlier deadline
+    pto_timer_armed_ = false;
+    // The timer never runs past pto_deadline_, so OnPto fires exactly at it.
+    if (endpoint_->medium().sim().now() < pto_deadline_) {
+      SchedulePtoTimer(pto_deadline_);
+    } else {
+      OnPto();
+    }
   });
 }
 

@@ -145,6 +145,12 @@ class QuicConnection {
   const std::string& metrics_scope() const { return scope_; }
   net::NodeId peer_node() const { return peer_node_; }
 
+  /// RFC 9002 probe timeout before backoff: srtt + max(4 rttvar, 1 ms) +
+  /// max_ack_delay, or 100 ms before the first RTT sample. A PTO fires this
+  /// long (shifted left by the backoff count) after the last ack-eliciting
+  /// send.
+  net::SimTime PtoInterval() const;
+
   /// Max UDP payload we produce (QUIC requires >= 1200 for Initials).
   static constexpr std::size_t kMaxPacketSize = 1200;
 
@@ -210,8 +216,8 @@ class QuicConnection {
                        std::span<const std::uint8_t> data, bool fin);
   void SendAckIfNeeded();
   void ArmPto();
+  void SchedulePtoTimer(net::SimTime at);
   void OnPto();
-  net::SimTime PtoInterval() const;
   void UpdateRtt(net::SimTime rtt_sample);
   template <class Out>
   void AppendAckFrameTo(Out& out);
@@ -262,7 +268,13 @@ class QuicConnection {
   net::SimTime rttvar_ = 0;
   net::SimTime min_rtt_ = 0;
 
-  std::uint64_t pto_epoch_ = 0;  // invalidates stale PTO timers
+  // Probe timeout: ArmPto() moves pto_deadline_; at most one live timer
+  // event (pto_timer_at_ <= pto_deadline_) chases it. pto_epoch_
+  // invalidates a timer superseded by an earlier deadline.
+  net::SimTime pto_deadline_ = 0;
+  net::SimTime pto_timer_at_ = 0;
+  bool pto_timer_armed_ = false;
+  std::uint64_t pto_epoch_ = 0;
   int pto_backoff_ = 0;
 
   std::map<std::uint64_t, RecvStream> recv_streams_;      // legacy path only

@@ -6,12 +6,21 @@
 //     FrameTracers must show the spans;
 //   * wall-clock drift invariants: a Simulator driven through the
 //     WallClockDriver never fires a timer early, coalesces late ticks into
-//     one batched advance instead of replaying them, and reports idle (sleep
-//     indefinitely) rather than a zero timeout when the wheel is empty;
+//     one batched advance instead of replaying them (recording how late in
+//     a histogram), and reports idle (sleep indefinitely) rather than a zero
+//     timeout when the wheel is empty; the socket loop sleeps exactly until
+//     the next deadline, so sub-millisecond timers fire on time;
 //   * façade semantics: property-set rejection, sim-backend construction
 //     equivalence against hand-rolled endpoints.
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sys/epoll.h>
+#include <unistd.h>
+#endif
+
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -52,6 +61,7 @@ TEST(WallClock, NeverFiresEarly) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(driver.stats().early_fires, 0u);
   EXPECT_EQ(driver.stats().late_ticks, 0u);
+  EXPECT_EQ(driver.late_us().count(), 0u) << "on-time ticks are not lateness samples";
 }
 
 TEST(WallClock, CoalescesLateTicksInsteadOfReplaying) {
@@ -75,6 +85,13 @@ TEST(WallClock, CoalescesLateTicksInsteadOfReplaying) {
   EXPECT_EQ(driver.stats().coalesced_ticks, 2u) << "3 overdue timers = 1 late tick + 2 coalesced";
   EXPECT_EQ(driver.stats().max_lateness, net::Millis(40));
   EXPECT_EQ(driver.stats().early_fires, 0u);
+  // The magnitude lands in the registry histogram: one late tick, 40 ms late.
+  EXPECT_EQ(driver.late_us().count(), 1u);
+  EXPECT_DOUBLE_EQ(driver.late_us().sum(), 40000.0);
+  const obs::Snapshot snap = obs::Snapshot::Capture(sim.metrics(), nullptr);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].name, "wallclock.late_us");
+  EXPECT_EQ(snap.histograms[0].count, 1u);
   // Virtual timestamps stay exact even when wall execution is late: handlers
   // observe their scheduled times in order.
   ASSERT_EQ(fire_times.size(), 3u);
@@ -117,6 +134,34 @@ TEST(WallClock, NextEventTimePeeksWithoutExecuting) {
   sim.RunUntil(net::Millis(2));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(*sim.NextEventTime(), net::Millis(3));
+}
+
+// The socket loop's wait timeout: the deadline gap itself, not rounded to a
+// millisecond (DESIGN §14), under the caller's cap.
+TEST(SocketPump, WaitTimeoutIsTheUnroundedDeadline) {
+  // A sub-millisecond gap passes through to the nanosecond.
+  EXPECT_EQ(net::PumpWaitTimeout(net::Micros(250), /*max_wait_ms=*/5), net::Micros(250));
+  EXPECT_EQ(net::PumpWaitTimeout(net::SimTime{1'234'567}, 5), net::SimTime{1'234'567});
+  // The cap wins over a later deadline, and 0 means "just poll".
+  EXPECT_EQ(net::PumpWaitTimeout(net::Millis(40), 5), net::Millis(5));
+  EXPECT_EQ(net::PumpWaitTimeout(net::Micros(250), 0), 0);
+  // An overdue deadline: run it now, no sleep.
+  EXPECT_EQ(net::PumpWaitTimeout(net::SimTime{0}, 5), 0);
+  // An idle wheel sleeps for the cap; uncapped, until I/O arrives.
+  EXPECT_EQ(net::PumpWaitTimeout(std::nullopt, 5), net::Millis(5));
+  EXPECT_EQ(net::PumpWaitTimeout(std::nullopt, -1), -1);
+  EXPECT_EQ(net::PumpWaitTimeout(net::Micros(250), -1), net::Micros(250));
+}
+
+// The millisecond fallbacks (pre-5.11 kernels, poll(2)) round up, so even
+// they never wake before a deadline.
+TEST(SocketPump, MillisecondFallbackRoundsUp) {
+  EXPECT_EQ(net::TimeoutToMillis(-1), -1);
+  EXPECT_EQ(net::TimeoutToMillis(0), 0);
+  EXPECT_EQ(net::TimeoutToMillis(1), 1);
+  EXPECT_EQ(net::TimeoutToMillis(net::Micros(250)), 1);
+  EXPECT_EQ(net::TimeoutToMillis(net::Millis(1)), 1);
+  EXPECT_EQ(net::TimeoutToMillis(net::Millis(1) + 1), 2);
 }
 
 // The same invariants on the legacy heap engine (the wheel is the default).
@@ -279,7 +324,10 @@ TEST(Taps, SimBackendMatchesHandRolledEndpoint) {
 /// process without threads.
 template <class Done>
 bool PumpBoth(net::SocketMedium& a, net::SocketMedium& b, Done done, int deadline_ms) {
-  for (int waited = 0; waited < deadline_ms; ++waited) {
+  // A wall deadline, not a turn count: a turn may end well inside its 1 ms
+  // cap when a timer is due sooner.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
+  while (std::chrono::steady_clock::now() < deadline) {
     a.Pump(/*max_wait_ms=*/1);
     b.Pump(/*max_wait_ms=*/1);
     if (done()) return true;
@@ -292,6 +340,67 @@ bool PumpBoth(net::SocketMedium& a, net::SocketMedium& b, Done done, int deadlin
 // parallel ctest invocations share the loopback namespace).
 constexpr std::uint16_t kPingServerPort = 46433;
 constexpr std::uint16_t kFramePort = 46533;
+
+/// True where EventLoop can wait with nanosecond resolution (Linux >= 5.11
+/// with epoll_pwait2 allowed); elsewhere it rounds waits up to milliseconds.
+bool KernelHasNanosecondWait() {
+#ifdef __linux__
+  const int epfd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epfd < 0) return false;
+  epoll_event ev{};
+  const timespec zero{};
+  const bool ok = ::epoll_pwait2(epfd, &ev, 1, &zero, nullptr) >= 0;
+  ::close(epfd);
+  return ok;
+#else
+  return false;
+#endif
+}
+
+// Timers 250 us apart on a real event loop fire within tens of us of their
+// deadlines: the poll sleeps exactly until the next one instead of to the
+// next whole millisecond (which made the median tick ~0.5 ms late).
+TEST(SocketLoopback, SubMillisecondTimersFireOnTime) {
+  if (!KernelHasNanosecondWait()) {
+    GTEST_SKIP() << "no epoll_pwait2 here: waits round up to whole milliseconds by design";
+  }
+  net::SocketMedium medium(1, "127.0.0.1");
+  medium.Pump(/*max_wait_ms=*/0);  // pins sim.now() to the medium's wall clock
+  // Map the medium's clock onto steady_clock; the few us between the two
+  // reads only inflate the measured lateness.
+  const net::SimTime sim_origin = medium.sim().now();
+  const auto wall_origin = std::chrono::steady_clock::now();
+
+  constexpr int kTimers = 200;
+  const net::SimTime first = sim_origin + net::Millis(2);
+  std::vector<double> late_us;
+  late_us.reserve(kTimers);
+  for (int i = 0; i < kTimers; ++i) {
+    const net::SimTime due = first + i * net::Micros(250);
+    medium.sim().At(due, [&late_us, due, sim_origin, wall_origin] {
+      const net::SimTime wall =
+          sim_origin + std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - wall_origin)
+                           .count();
+      late_us.push_back(net::ToMicros(wall - due));
+    });
+  }
+  const auto give_up = wall_origin + std::chrono::seconds(10);
+  while (late_us.size() < kTimers && std::chrono::steady_clock::now() < give_up) {
+    medium.Pump(/*max_wait_ms=*/5);
+  }
+  ASSERT_EQ(late_us.size(), static_cast<std::size_t>(kTimers));
+
+  std::vector<double> sorted = late_us;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_GE(sorted.front(), 0.0) << "a timer fired before its deadline";
+  const double median = sorted[sorted.size() / 2];
+  // ~0.5 ms with millisecond-rounded waits; tens of us with exact ones. The
+  // bound leaves room for sanitizer builds and a loaded machine.
+  EXPECT_LT(median, 300.0) << "median timer lateness " << median << " us";
+  EXPECT_EQ(medium.wall_stats().early_fires, 0u);
+  EXPECT_GT(medium.wall_stats().timers_fired, static_cast<std::uint64_t>(kTimers) - 1);
+}
 
 TEST(SocketLoopback, QuicPingRoundTrip) {
   net::SocketMedium server_medium(1, "127.0.0.1");

@@ -1,10 +1,12 @@
 // Tests for the transport extensions: FEC, the playout buffer, QUIC
-// connection close, ACK-range edge cases, and the legacy-vs-default
-// transport-path differential suite.
+// connection close, the probe-timeout timer, ACK-range edge cases, and the
+// legacy-vs-default transport-path differential suite.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "netsim/capture.h"
 #include "netsim/netem.h"
@@ -216,6 +218,134 @@ TEST(QuicClose, CloseStopsTrafficAndNotifiesPeer) {
   conn->SendStreamData(0, std::vector<std::uint8_t>(100, 1));
   sim.RunUntil(net::Millis(900));
   EXPECT_EQ(conn->stats().packets_sent, sent_before);
+}
+
+// --- probe timeout (PTO) timer -------------------------------------------------------
+//
+// A two-host Medium with a fixed one-way delay and a blackhole switch. It
+// schedules one event per delivered datagram and none while blackholed, so
+// during a blackout the scheduler's counters see only the connections' own
+// timers.
+class PipeMedium final : public net::Medium {
+ public:
+  explicit PipeMedium(net::SimTime one_way) : sim_(1), one_way_(one_way) {}
+
+  void BindUdp(net::NodeId node, std::uint16_t port, net::DatagramHandler handler) override {
+    handlers_[{node, port}] = std::move(handler);
+  }
+  void UnbindUdp(net::NodeId node, std::uint16_t port) override { handlers_.erase({node, port}); }
+  void SendUdp(net::NodeId src, std::uint16_t src_port, net::NodeId dst, std::uint16_t dst_port,
+               const std::vector<std::uint8_t>& payload) override {
+    SendUdp(src, src_port, dst, dst_port, net::PacketBuffer::CopyOf(payload));
+  }
+  void SendUdp(net::NodeId src, std::uint16_t src_port, net::NodeId dst, std::uint16_t dst_port,
+               net::PacketBuffer payload) override {
+    if (blackhole) return;
+    net::Packet p;
+    p.src = src;
+    p.src_port = src_port;
+    p.dst = dst;
+    p.dst_port = dst_port;
+    p.payload = std::move(payload);
+    sim_.After(one_way_, [this, p] {
+      const auto it = handlers_.find({p.dst, p.dst_port});
+      if (it != handlers_.end()) it->second(p);
+    });
+  }
+  net::Simulator& sim() override { return sim_; }
+
+  bool blackhole = false;
+
+ private:
+  net::Simulator sim_;
+  net::SimTime one_way_;
+  std::map<std::pair<net::NodeId, std::uint16_t>, net::DatagramHandler> handlers_;
+};
+
+class PtoTimer : public ::testing::Test {
+ protected:
+  static constexpr net::NodeId kClient = 1;
+  static constexpr net::NodeId kServer = 2;
+
+  PtoTimer() : medium_(net::Millis(10)), client_(&medium_, kClient, 9000), server_(&medium_, kServer, 4433) {
+    server_.set_on_accept([](QuicConnection* conn) {
+      conn->set_on_datagram([](std::span<const std::uint8_t>) {});
+    });
+    conn_ = client_.Connect(kServer, 4433);
+    // Handshake plus one acknowledged datagram for an RTT sample; by the
+    // end every timer from that exchange has fired and found nothing to do.
+    sim().RunUntil(net::Millis(300));
+    conn_->SendDatagram(payload_);
+    sim().RunUntil(net::Seconds(1));
+  }
+
+  net::Simulator& sim() { return medium_.sim(); }
+  std::uint64_t EventsScheduled() { return sim().scheduler_stats().events_scheduled; }
+
+  /// Sends one datagram `gap` after now; returns the send instant.
+  net::SimTime SendAfter(net::SimTime gap) {
+    sim().RunUntil(sim().now() + gap);
+    conn_->SendDatagram(payload_);
+    return sim().now();
+  }
+
+  PipeMedium medium_;
+  QuicEndpoint client_;
+  QuicEndpoint server_;
+  QuicConnection* conn_ = nullptr;
+  const std::vector<std::uint8_t> payload_ = std::vector<std::uint8_t>(100, 3);
+};
+
+TEST_F(PtoTimer, BurstKeepsOnePendingTimerAndProbesOnTime) {
+  ASSERT_TRUE(conn_->established());
+  ASSERT_EQ(conn_->stats().packets_declared_lost, 0u);
+  medium_.blackhole = true;
+
+  // 20 ack-eliciting sends, 1 ms apart: well inside one PTO interval.
+  constexpr int kBurst = 20;
+  const std::uint64_t events_before = EventsScheduled();
+  const net::SimTime first_send = SendAfter(net::Millis(1));
+  net::SimTime last_send = first_send;
+  for (int i = 1; i < kBurst; ++i) last_send = SendAfter(net::Millis(1));
+  const net::SimTime pto = conn_->PtoInterval();
+  ASSERT_LT(last_send - first_send, pto);
+  const std::uint64_t sent = conn_->stats().packets_sent;
+
+  // Up to the instant before the probe: the first send's timer, re-armed
+  // once at the last send's deadline — not one timer per send.
+  sim().RunUntil(last_send + pto - 1);
+  EXPECT_LE(EventsScheduled() - events_before, 2u);
+  EXPECT_EQ(conn_->stats().packets_sent, sent) << "PTO fired before last send + PtoInterval()";
+
+  // The probe goes out exactly at last send + PtoInterval().
+  sim().RunUntil(last_send + pto);
+  EXPECT_EQ(conn_->stats().packets_sent, sent + 1);
+  EXPECT_EQ(conn_->stats().packets_declared_lost, static_cast<std::uint64_t>(kBurst));
+}
+
+TEST_F(PtoTimer, EarlierDeadlineFiresOnTime) {
+  ASSERT_TRUE(conn_->established());
+  // A blackout backs the PTO off: probes at P, 3P, 7P, ... after the send.
+  // Right after the third probe the pending timer is 8 PTOs away.
+  medium_.blackhole = true;
+  SendAfter(net::Millis(1));
+  while (conn_->stats().packets_declared_lost < 3) sim().RunUntil(sim().now() + net::Millis(1));
+
+  // The path heals; one datagram gets through and its ACK resets the
+  // backoff, so the next deadline is earlier than the pending timer.
+  medium_.blackhole = false;
+  SendAfter(net::Millis(1));
+  sim().RunUntil(sim().now() + net::Millis(100));
+  medium_.blackhole = true;
+  const net::SimTime send = SendAfter(net::Millis(1));
+  const net::SimTime pto = conn_->PtoInterval();
+  const std::uint64_t sent = conn_->stats().packets_sent;
+
+  sim().RunUntil(send + pto - 1);
+  EXPECT_EQ(conn_->stats().packets_sent, sent);
+  sim().RunUntil(send + pto);
+  EXPECT_EQ(conn_->stats().packets_sent, sent + 1)
+      << "the earlier deadline waited for the backed-off timer";
 }
 
 // --- FEC protecting the semantic stream over a lossy QUIC path ----------------------

@@ -268,6 +268,31 @@ std::pair<std::string, std::uint16_t> ParseHostPort(const std::string& s) {
   return {s.substr(0, colon), static_cast<std::uint16_t>(std::stoi(s.substr(colon + 1)))};
 }
 
+/// The wall-clock timer fields shared by the serve and client JSON reports.
+void WriteWallJson(core::JsonWriter& w, const net::SocketMedium& medium) {
+  const net::WallClockStats& wall = medium.wall_stats();
+  w.Key("timers_fired");
+  w.Int(static_cast<std::int64_t>(wall.timers_fired));
+  w.Key("late_ticks");
+  w.Int(static_cast<std::int64_t>(wall.late_ticks));
+  w.Key("late_us_p50");
+  w.Number(medium.wall_late_us().Quantile(0.50));
+  w.Key("late_us_p99");
+  w.Number(medium.wall_late_us().Quantile(0.99));
+  w.Key("early_fires");
+  w.Int(static_cast<std::int64_t>(wall.early_fires));
+}
+
+/// "N timers, L late ticks (p50 .. us, p99 .. us late; C coalesced), E early fires".
+std::string WallText(const net::SocketMedium& medium) {
+  const net::WallClockStats& wall = medium.wall_stats();
+  return std::to_string(wall.timers_fired) + " timers, " + std::to_string(wall.late_ticks) +
+         " late ticks (p50 " + core::Fmt(medium.wall_late_us().Quantile(0.50), 0) + " us, p99 " +
+         core::Fmt(medium.wall_late_us().Quantile(0.99), 0) + " us late; " +
+         std::to_string(wall.coalesced_ticks) + " coalesced), " +
+         std::to_string(wall.early_fires) + " early fires";
+}
+
 int CmdServe(const core::Flags& flags) {
   const std::string host = flags.Get("host", core::knobs::kListenAddr.Get());
   const auto port = static_cast<std::uint16_t>(flags.GetInt("port", 4433));
@@ -288,7 +313,6 @@ int CmdServe(const core::Flags& flags) {
   const net::SimTime end = duration_s > 0 ? net::Seconds(duration_s) : 0;
   while (!g_stop && (end == 0 || medium.sim().now() < end)) medium.Pump(/*max_wait_ms=*/100);
 
-  const net::WallClockStats& wall = medium.wall_stats();
   if (flags.GetBool("json", false)) {
     core::JsonWriter w;
     w.BeginObject();
@@ -298,25 +322,18 @@ int CmdServe(const core::Flags& flags) {
     w.Int(static_cast<std::int64_t>(medium.datagrams_received()));
     w.Key("datagrams_sent");
     w.Int(static_cast<std::int64_t>(medium.datagrams_sent()));
-    w.Key("timers_fired");
-    w.Int(static_cast<std::int64_t>(wall.timers_fired));
-    w.Key("late_ticks");
-    w.Int(static_cast<std::int64_t>(wall.late_ticks));
-    w.Key("early_fires");
-    w.Int(static_cast<std::int64_t>(wall.early_fires));
+    WriteWallJson(w, medium);
     w.EndObject();
     std::cout << w.str() << "\n";
   } else {
     std::cout << "vtp serve: relayed " << sfu.forwarded_count() << " datagrams ("
               << medium.datagrams_received() << " in / " << medium.datagrams_sent()
-              << " out), " << wall.timers_fired << " timers, " << wall.late_ticks
-              << " late ticks (" << wall.coalesced_ticks << " coalesced), "
-              << wall.early_fires << " early fires\n";
+              << " out), " << WallText(medium) << "\n";
     PrintStageTable(obs::Snapshot::Capture(medium.sim().metrics(), &medium.sim().tracer()),
                     std::cout);
   }
   if (!DumpObsSnapshot(flags, "serve", medium.sim())) return 1;
-  return wall.early_fires == 0 ? 0 : 1;
+  return medium.wall_stats().early_fires == 0 ? 0 : 1;
 }
 
 /// One client persona: a TAPS connection to the SFU carrying a spatial
@@ -351,7 +368,7 @@ ClientPersona MakePersona(net::Medium& medium, transport::taps::Endpoint local,
 int FinishClient(const core::Flags& flags, net::Simulator& sim,
                  std::vector<ClientPersona>& personas, net::SimTime end,
                  const std::function<void(net::SimTime)>& run_until,
-                 const net::WallClockStats* wall) {
+                 const net::SocketMedium* socket) {
   sim.After(net::Millis(300), [&personas, end] {
     for (ClientPersona& p : personas) p.sender->Start(end);
   });
@@ -372,28 +389,17 @@ int FinishClient(const core::Flags& flags, net::Simulator& sim,
     w.Int(static_cast<std::int64_t>(sent));
     w.Key("frames_decoded");
     w.Int(static_cast<std::int64_t>(decoded));
-    if (wall != nullptr) {
-      w.Key("timers_fired");
-      w.Int(static_cast<std::int64_t>(wall->timers_fired));
-      w.Key("late_ticks");
-      w.Int(static_cast<std::int64_t>(wall->late_ticks));
-      w.Key("early_fires");
-      w.Int(static_cast<std::int64_t>(wall->early_fires));
-    }
+    if (socket != nullptr) WriteWallJson(w, *socket);
     w.EndObject();
     std::cout << w.str() << "\n";
   } else {
     std::cout << "vtp client: " << personas.size() << " personas, " << sent
               << " frames sent, " << decoded << " frames decoded end-to-end\n";
-    if (wall != nullptr) {
-      std::cout << wall->timers_fired << " timers, " << wall->late_ticks << " late ticks ("
-                << wall->coalesced_ticks << " coalesced), " << wall->early_fires
-                << " early fires\n";
-    }
+    if (socket != nullptr) std::cout << WallText(*socket) << "\n";
     PrintStageTable(obs::Snapshot::Capture(sim.metrics(), &sim.tracer()), std::cout);
   }
   if (!DumpObsSnapshot(flags, "client", sim)) return 1;
-  if (wall != nullptr && wall->early_fires != 0) return 1;
+  if (socket != nullptr && socket->wall_stats().early_fires != 0) return 1;
   // The end-to-end delivery gate: persona frames must have round-tripped
   // through the SFU and decoded. (With one persona nothing fans back.)
   return personas.size() < 2 || decoded > 0 ? 0 : 1;
@@ -430,7 +436,7 @@ int CmdClient(const core::Flags& flags) {
         [&](net::SimTime until) {
           while (!g_stop && medium.sim().now() < until) medium.Pump(/*max_wait_ms=*/50);
         },
-        &medium.wall_stats());
+        &medium);
   }
 
   // sim medium: a self-contained star topology with an in-process SFU —
