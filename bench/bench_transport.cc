@@ -1,19 +1,20 @@
-// Transport hot-path benchmark: the pooled-writer/ring-buffer QUIC path vs
-// the retained legacy (std::vector / std::map) path, on the workload the
-// paper's scalability story is bounded by — an SFU fanning every inbound
-// datagram out to N-1 receivers (§4.2, Figure 6).
+// Transport hot-path benchmark: the pooled-writer/ring-buffer QUIC path on
+// the workload the paper's scalability story is bounded by — an SFU fanning
+// every inbound datagram out to N-1 receivers (§4.2, Figure 6).
 //
 //   1. fan-out throughput — a 5-persona session (5 clients, one SFU, star
 //      topology) pushing 90 FPS semantic-sized datagrams through the relay
-//      for a fixed simulated duration. A/B wall time, interleaved reps,
-//      best-of per side; the >=2x target applies here;
+//      for a fixed simulated duration; best-of-reps wall time (reported,
+//      not gated: the repo benchmark gates throughput on this path);
 //   2. steady-state allocations — a global operator-new counter reset after
-//      a warmup second; the default path must not touch the heap per
-//      forwarded packet once pools and rings are warm;
-//   3. differential — the same session run once per path with a capture on
-//      the SFU's access link: wire traces (timing, addressing, sizes, and
-//      the 16-byte payload prefix of every packet), per-client delivery
-//      digests, and client transport stats must be identical.
+//      a warmup second; the path must not touch the heap per forwarded
+//      packet once pools and rings are warm (a hard, machine-independent
+//      gate);
+//   3. goldens — the same session with a capture on the SFU's access link:
+//      the wire-trace digest (timing, addressing, sizes, and the 16-byte
+//      payload prefix of every packet), the delivery digest, the client
+//      packet/byte totals and the forwarded count must equal the values
+//      pinned below for the run's duration.
 //
 //   4. observability overhead — the same fan-out session with the frame
 //      tracer armed vs off (registry counters are always on), the two
@@ -26,10 +27,9 @@
 //      frames_decoded and a bench-side percentile recomputation.
 //
 // Results go to BENCH_transport.json (override with VTP_BENCH_JSON);
-// `--smoke` shrinks the run for CI. Exit is nonzero on any differential
-// mismatch, steady-state allocation on the default path, speedup < 1.0,
-// obs overhead > 5%, or an obs snapshot that disagrees with the legacy
-// accounting.
+// `--smoke` shrinks the run for CI. Exit is nonzero on any golden mismatch,
+// steady-state allocation, obs overhead > 5%, or an obs snapshot that
+// disagrees with the legacy accounting.
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -109,14 +109,6 @@ double Median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-void SelectPath(bool legacy) {
-  if (legacy) {
-    setenv("VTP_QUIC_PATH", "legacy", 1);
-  } else {
-    unsetenv("VTP_QUIC_PATH");
-  }
-}
-
 /// One client persona: ticks at 90 FPS, refreshing a reusable payload in
 /// place (xorshift over 64-bit words, deterministic per sender) and sending
 /// it as a QUIC datagram tagged for SFU fan-out.
@@ -172,17 +164,15 @@ struct SessionResult {
   std::uint64_t steady_forwarded = 0;  ///< forwards after warmup
 };
 
-/// One 5-persona SFU fan-out session on the selected path. The star
-/// topology (every host one 1 Gbps hop from the hub router) keeps generic
-/// netsim cost minimal so the measurement isolates the transport layer.
+/// One 5-persona SFU fan-out session. The star topology (every host one
+/// 1 Gbps hop from the hub router) keeps generic netsim cost minimal so the
+/// measurement isolates the transport layer.
 /// Built whole, then advanced in as many RunUntil() slices as the caller
 /// likes (the obs A/B interleaves two sessions slice by slice).
 class FanoutSession {
  public:
-  FanoutSession(bool legacy, net::SimTime duration, net::SimTime warmup, bool with_capture,
-                bool obs_trace)
+  FanoutSession(net::SimTime duration, net::SimTime warmup, bool with_capture, bool obs_trace)
       : sim_(1), net_(&sim_) {
-    SelectPath(legacy);
     if (obs_trace) sim_.tracer().Enable(/*max_spans=*/1024);
     const net::GeoPoint here{41.88, -87.63};
     const net::NodeId hub = net_.AddNode("hub", here, net::Region::kMiddleUs, /*is_router=*/true);
@@ -266,12 +256,29 @@ class FanoutSession {
   std::uint64_t warm_forwarded_ = 0;
 };
 
-SessionResult RunSession(bool legacy, net::SimTime duration, net::SimTime warmup,
-                         bool with_capture, bool obs_trace = false) {
-  FanoutSession session(legacy, duration, warmup, with_capture, obs_trace);
+SessionResult RunSession(net::SimTime duration, net::SimTime warmup, bool with_capture) {
+  FanoutSession session(duration, warmup, with_capture, /*obs_trace=*/false);
   session.RunUntil(duration);
   return session.Finish();
 }
+
+/// Section 3's pinned observables of the captured fan-out session.
+struct FanoutGolden {
+  std::uint64_t wire_packets;
+  std::uint64_t wire_digest;
+  std::uint64_t delivered;
+  std::uint64_t payload_digest;
+  std::uint64_t client_packets_sent;
+  std::uint64_t client_bytes_sent;
+  std::uint64_t forwarded;
+};
+
+// The fan-out sends no STREAM frames, so only datagram packetization, ACKs
+// and SFU forwarding feed these.
+constexpr FanoutGolden kSmokeGolden{10522, 0x2e95504444bcb776ull, 5400, 0xbfe7c781d3434403ull,
+                                    4220, 402964, 5400};
+constexpr FanoutGolden kFullGolden{42058, 0xdea40f835fd4cb55ull, 21600, 0xb94b3b896815bd8bull,
+                                   16856, 1594798, 21600};
 
 }  // namespace
 
@@ -281,80 +288,59 @@ int main(int argc, char** argv) {
   const net::SimTime warmup = net::Seconds(1);
   const int reps = smoke ? 2 : 5;
 
-  std::cout << "Transport hot-path benchmark: pooled-writer QUIC + SFU fan-out vs legacy"
+  std::cout << "Transport hot-path benchmark: pooled-writer QUIC + SFU fan-out"
             << (smoke ? " (smoke)" : "") << "\n"
             << kPersonas << " personas, " << net::ToSeconds(duration) << " s simulated, " << reps
             << " reps\n";
 
-  // ---- 1+2: timed A/B (no capture; its record vector would pollute both
+  // ---- 1+2: timed runs (no capture; its record vector would pollute both
   // the timing and the steady-state allocation count) ------------------------
-  bench::Banner("1. fan-out throughput (best of " + std::to_string(reps) + " interleaved reps)");
-  double legacy_best = 0, new_best = 0;
-  SessionResult legacy_timed, new_timed;
+  bench::Banner("1. fan-out throughput (best of " + std::to_string(reps) + " reps)");
+  double best_s = 0;
+  SessionResult timed;
   for (int rep = 0; rep < reps; ++rep) {
-    {
-      const bench::WallTimer timer;
-      legacy_timed = RunSession(/*legacy=*/true, duration, warmup, /*with_capture=*/false);
-      const double s = timer.seconds();
-      if (rep == 0 || s < legacy_best) legacy_best = s;
-    }
-    {
-      const bench::WallTimer timer;
-      new_timed = RunSession(/*legacy=*/false, duration, warmup, /*with_capture=*/false);
-      const double s = timer.seconds();
-      if (rep == 0 || s < new_best) new_best = s;
-    }
+    const bench::WallTimer timer;
+    timed = RunSession(duration, warmup, /*with_capture=*/false);
+    const double s = timer.seconds();
+    if (rep == 0 || s < best_s) best_s = s;
   }
-  const double legacy_pps =
-      legacy_best > 0 ? static_cast<double>(legacy_timed.forwarded) / legacy_best : 0;
-  const double new_pps = new_best > 0 ? static_cast<double>(new_timed.forwarded) / new_best : 0;
-  const double speedup = legacy_best > 0 && new_best > 0 ? legacy_best / new_best : 0;
-  std::cout << "legacy: " << legacy_timed.forwarded << " forwarded in " << core::Fmt(legacy_best, 3)
-            << " s  (" << core::Fmt(legacy_pps / 1000, 1) << "k pkts/s)\n"
-            << "new:    " << new_timed.forwarded << " forwarded in " << core::Fmt(new_best, 3)
-            << " s  (" << core::Fmt(new_pps / 1000, 1) << "k pkts/s)\n"
-            << "speedup: " << core::Fmt(speedup, 2) << "x (target: >=2x)\n";
+  const double pps = best_s > 0 ? static_cast<double>(timed.forwarded) / best_s : 0;
+  std::cout << timed.forwarded << " forwarded in " << core::Fmt(best_s, 3) << " s  ("
+            << core::Fmt(pps / 1000, 1) << "k pkts/s)\n";
 
   bench::Banner("2. steady-state allocations (after " + core::Fmt(net::ToSeconds(warmup), 0) +
                 " s warmup)");
-  const double legacy_apf =
-      legacy_timed.steady_forwarded > 0
-          ? static_cast<double>(legacy_timed.steady_allocs) /
-                static_cast<double>(legacy_timed.steady_forwarded)
-          : 0;
-  const double new_apf = new_timed.steady_forwarded > 0
-                             ? static_cast<double>(new_timed.steady_allocs) /
-                                   static_cast<double>(new_timed.steady_forwarded)
-                             : 0;
-  std::cout << "legacy: " << legacy_timed.steady_allocs << " allocs / "
-            << legacy_timed.steady_forwarded << " forwarded = " << core::Fmt(legacy_apf, 2)
-            << " per packet\n"
-            << "new:    " << new_timed.steady_allocs << " allocs / " << new_timed.steady_forwarded
-            << " forwarded = " << core::Fmt(new_apf, 2) << " per packet\n";
-  const bool alloc_free = new_timed.steady_allocs == 0;
+  const double apf = timed.steady_forwarded > 0
+                         ? static_cast<double>(timed.steady_allocs) /
+                               static_cast<double>(timed.steady_forwarded)
+                         : 0;
+  std::cout << timed.steady_allocs << " allocs / " << timed.steady_forwarded
+            << " forwarded = " << core::Fmt(apf, 2) << " per packet\n";
+  const bool alloc_free = timed.steady_allocs == 0;
 
-  // ---- 3: differential ------------------------------------------------------
-  bench::Banner("3. differential (wire capture at the SFU access link)");
-  const SessionResult legacy_diff =
-      RunSession(/*legacy=*/true, duration, warmup, /*with_capture=*/true);
-  const SessionResult new_diff =
-      RunSession(/*legacy=*/false, duration, warmup, /*with_capture=*/true);
-  const bool wire_match = legacy_diff.wire_digest == new_diff.wire_digest &&
-                          legacy_diff.wire_packets == new_diff.wire_packets;
-  const bool delivery_match = legacy_diff.payload_digest == new_diff.payload_digest &&
-                              legacy_diff.delivered == new_diff.delivered;
-  const bool stats_match = legacy_diff.client_packets_sent == new_diff.client_packets_sent &&
-                           legacy_diff.client_bytes_sent == new_diff.client_bytes_sent &&
-                           legacy_diff.forwarded == new_diff.forwarded;
-  const std::string wire_hex = Hex64(new_diff.wire_digest);
-  const std::string delivery_hex = Hex64(new_diff.payload_digest);
-  std::cout << "wire trace: " << new_diff.wire_packets << " packets, digests "
-            << (wire_match ? "identical" : "DIFFER") << " (" << wire_hex << ")\n"
-            << "delivery:   " << new_diff.delivered << " datagrams, digests "
-            << (delivery_match ? "identical" : "DIFFER") << " (" << delivery_hex << ")\n"
-            << "stats:      " << (stats_match ? "identical" : "DIFFER") << " ("
-            << new_diff.client_packets_sent << " client packets, " << new_diff.client_bytes_sent
-            << " bytes)\n";
+  // ---- 3: goldens -----------------------------------------------------------
+  bench::Banner("3. goldens (wire capture at the SFU access link)");
+  const FanoutGolden& golden = smoke ? kSmokeGolden : kFullGolden;
+  const SessionResult captured = RunSession(duration, warmup, /*with_capture=*/true);
+  const bool wire_match =
+      captured.wire_digest == golden.wire_digest && captured.wire_packets == golden.wire_packets;
+  const bool delivery_match = captured.payload_digest == golden.payload_digest &&
+                              captured.delivered == golden.delivered;
+  const bool stats_match = captured.client_packets_sent == golden.client_packets_sent &&
+                           captured.client_bytes_sent == golden.client_bytes_sent &&
+                           captured.forwarded == golden.forwarded;
+  const std::string wire_hex = Hex64(captured.wire_digest);
+  const std::string delivery_hex = Hex64(captured.payload_digest);
+  std::cout << "wire trace: " << captured.wire_packets << " packets, digest " << wire_hex << " ("
+            << (wire_match ? "matches golden" : "DIFFERS from golden " + Hex64(golden.wire_digest))
+            << ")\n"
+            << "delivery:   " << captured.delivered << " datagrams, digest " << delivery_hex << " ("
+            << (delivery_match ? "matches golden"
+                               : "DIFFERS from golden " + Hex64(golden.payload_digest))
+            << ")\n"
+            << "stats:      " << captured.client_packets_sent << " client packets, "
+            << captured.client_bytes_sent << " bytes, " << captured.forwarded << " forwarded ("
+            << (stats_match ? "matches golden" : "DIFFERS from golden") << ")\n";
 
   // ---- 4: observability overhead -------------------------------------------
   // A tracer cost of a few percent is inside the run-to-run noise of whole
@@ -367,15 +353,13 @@ int main(int argc, char** argv) {
   const net::SimTime obs_duration = net::Seconds(20);
   const net::SimTime obs_slice = net::Millis(10);
   const int obs_rounds = smoke ? 15 : 25;
-  bench::Banner("4. obs overhead (tracer armed vs off, default path, " +
+  bench::Banner("4. obs overhead (tracer armed vs off, " +
                 std::to_string(obs_rounds) + " rounds of slice-interleaved sessions)");
   std::vector<double> obs_off_s, obs_on_s, obs_ratios;
   SessionResult obs_off_r, obs_on_r;
   for (int round = 0; round < obs_rounds; ++round) {
-    FanoutSession off(/*legacy=*/false, obs_duration, warmup, /*with_capture=*/false,
-                      /*obs_trace=*/false);
-    FanoutSession on(/*legacy=*/false, obs_duration, warmup, /*with_capture=*/false,
-                     /*obs_trace=*/true);
+    FanoutSession off(obs_duration, warmup, /*with_capture=*/false, /*obs_trace=*/false);
+    FanoutSession on(obs_duration, warmup, /*with_capture=*/false, /*obs_trace=*/true);
     double off_cpu = 0, on_cpu = 0;
     const auto timed_slice = [](FanoutSession& session, net::SimTime until) {
       const bench::ThreadCpuTimer timer;
@@ -478,35 +462,30 @@ int main(int argc, char** argv) {
   w.Key("reps"); w.Int(reps);
   w.Key("fanout");
   w.BeginObject();
-  w.Key("forwarded"); w.Int(static_cast<std::int64_t>(new_timed.forwarded));
-  w.Key("legacy_wall_s"); w.Number(legacy_best);
-  w.Key("new_wall_s"); w.Number(new_best);
-  w.Key("legacy_packets_per_s"); w.Number(legacy_pps);
-  w.Key("new_packets_per_s"); w.Number(new_pps);
-  w.Key("speedup"); w.Number(speedup);
-  w.Key("speedup_target"); w.Number(2.0);
+  w.Key("forwarded"); w.Int(static_cast<std::int64_t>(timed.forwarded));
+  w.Key("wall_s"); w.Number(best_s);
+  w.Key("packets_per_s"); w.Number(pps);
   w.EndObject();
   w.Key("steady_state");
   w.BeginObject();
-  w.Key("legacy_allocs"); w.Int(static_cast<std::int64_t>(legacy_timed.steady_allocs));
-  w.Key("new_allocs"); w.Int(static_cast<std::int64_t>(new_timed.steady_allocs));
-  w.Key("legacy_forwarded"); w.Int(static_cast<std::int64_t>(legacy_timed.steady_forwarded));
-  w.Key("new_forwarded"); w.Int(static_cast<std::int64_t>(new_timed.steady_forwarded));
-  w.Key("legacy_allocs_per_packet"); w.Number(legacy_apf);
-  w.Key("new_allocs_per_packet"); w.Number(new_apf);
+  w.Key("allocs"); w.Int(static_cast<std::int64_t>(timed.steady_allocs));
+  w.Key("forwarded"); w.Int(static_cast<std::int64_t>(timed.steady_forwarded));
+  w.Key("allocs_per_packet"); w.Number(apf);
   w.EndObject();
-  w.Key("differential");
+  w.Key("golden");
   w.BeginObject();
-  w.Key("wire_packets"); w.Int(static_cast<std::int64_t>(new_diff.wire_packets));
+  w.Key("wire_packets"); w.Int(static_cast<std::int64_t>(captured.wire_packets));
   w.Key("wire_digest"); w.String(wire_hex);
+  w.Key("delivered"); w.Int(static_cast<std::int64_t>(captured.delivered));
   w.Key("delivery_digest"); w.String(delivery_hex);
-  w.Key("client_packets_sent"); w.Int(static_cast<std::int64_t>(new_diff.client_packets_sent));
-  w.Key("client_bytes_sent"); w.Int(static_cast<std::int64_t>(new_diff.client_bytes_sent));
-  w.Key("wire_identical"); w.Bool(wire_match);
-  w.Key("delivery_identical"); w.Bool(delivery_match);
-  w.Key("stats_identical"); w.Bool(stats_match);
+  w.Key("client_packets_sent"); w.Int(static_cast<std::int64_t>(captured.client_packets_sent));
+  w.Key("client_bytes_sent"); w.Int(static_cast<std::int64_t>(captured.client_bytes_sent));
+  w.Key("forwarded"); w.Int(static_cast<std::int64_t>(captured.forwarded));
+  w.Key("wire_match"); w.Bool(wire_match);
+  w.Key("delivery_match"); w.Bool(delivery_match);
+  w.Key("stats_match"); w.Bool(stats_match);
   w.EndObject();
-  w.Key("prehandshake_drops"); w.Int(static_cast<std::int64_t>(new_timed.prehandshake_drops));
+  w.Key("prehandshake_drops"); w.Int(static_cast<std::int64_t>(timed.prehandshake_drops));
   w.Key("alloc_free"); w.Bool(alloc_free);
   w.Key("obs_overhead");
   w.BeginObject();
@@ -531,13 +510,9 @@ int main(int argc, char** argv) {
   const std::string path = report.Write();
   std::cout << "\nwrote " << path << "\n";
 
-  if (!wire_match || !delivery_match || !stats_match) std::cout << "FAIL: paths diverge\n";
-  if (!alloc_free) std::cout << "FAIL: default path allocated in steady state\n";
-  if (speedup < 1.0) std::cout << "FAIL: speedup < 1.0\n";
+  if (!wire_match || !delivery_match || !stats_match) std::cout << "FAIL: golden mismatch\n";
+  if (!alloc_free) std::cout << "FAIL: allocated in steady state\n";
   if (!obs_ok) std::cout << "FAIL: obs overhead > 5% or changed forwarding\n";
   if (!trace_ok) std::cout << "FAIL: obs snapshot disagrees with legacy accounting\n";
-  return wire_match && delivery_match && stats_match && alloc_free && speedup >= 1.0 &&
-                 obs_ok && trace_ok
-             ? 0
-             : 1;
+  return wire_match && delivery_match && stats_match && alloc_free && obs_ok && trace_ok ? 0 : 1;
 }

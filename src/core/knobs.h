@@ -3,9 +3,9 @@
 // Each knob appears exactly once, with its type, default, and help string;
 // the inline handles self-register with core::Config so `vtp --knobs` lists
 // them all. Call sites consult the handle (knobs::kFull.Get(),
-// knobs::kQuicPath.Is("legacy")) instead of scattering EnvInt/EnvFlag/
+// knobs::kSimScheduler.Is("heap")) instead of scattering EnvInt/EnvFlag/
 // getenv parsing through the tree — resolution still happens per call, so
-// benches that setenv() a knob mid-run (scheduler/QUIC-path A/Bs) behave
+// benches that setenv() a knob mid-run (scheduler/adaptation A/Bs) behave
 // exactly as before.
 #pragma once
 
@@ -32,11 +32,6 @@ inline const StringKnob kBenchJson{"VTP_BENCH_JSON", "",
 inline const ChoiceKnob kSimScheduler{
     "VTP_SIM_SCHEDULER", "wheel", {"wheel", "heap"},
     "event scheduler: hierarchical timer wheel or legacy priority-queue heap"};
-
-/// QUIC serialization path (bench_transport A/Bs these per session).
-inline const ChoiceKnob kQuicPath{
-    "VTP_QUIC_PATH", "default", {"default", "legacy"},
-    "QUIC hot path: pooled packet writer + sent-packet ring, or the legacy per-frame buffers"};
 
 /// LZ parse strategy used by compress::DefaultLzParser().
 inline const ChoiceKnob kLzParser{"VTP_LZ_PARSER", "greedy", {"greedy", "lazy"},

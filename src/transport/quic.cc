@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "compress/bitstream.h"
-#include "core/knobs.h"
 
 namespace vtp::transport {
 
@@ -45,11 +44,7 @@ constexpr std::size_t kInitialRingSize = 64;  // sent-packet ring; power of two
 // not translate into a huge allocation.
 constexpr std::uint64_t kMaxReassemblyWindow = 1ull << 24;  // 16 MiB
 
-// The varint/byte emitters are templated over the sink so the legacy
-// std::vector path and the pooled QuicPacketWriter path share one serializer
-// and stay byte-identical by construction.
-template <class Out>
-void PutVarintTo(Out& out, std::uint64_t value) {
+void PutVarint(QuicPacketWriter& out, std::uint64_t value) {
   if (value < (1ull << 6)) {
     out.push_back(static_cast<std::uint8_t>(value));
   } else if (value < (1ull << 14)) {
@@ -70,18 +65,16 @@ void PutVarintTo(Out& out, std::uint64_t value) {
   }
 }
 
-template <class Out>
-void PutU32To(Out& out, std::uint32_t v) {
+void PutU32(QuicPacketWriter& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
   out.push_back(static_cast<std::uint8_t>(v >> 16));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-template <class Out>
-void PutU64To(Out& out, std::uint64_t v) {
-  PutU32To(out, static_cast<std::uint32_t>(v >> 32));
-  PutU32To(out, static_cast<std::uint32_t>(v));
+void PutU64(QuicPacketWriter& out, std::uint64_t v) {
+  PutU32(out, static_cast<std::uint32_t>(v >> 32));
+  PutU32(out, static_cast<std::uint32_t>(v));
 }
 
 std::uint64_t GetU64(std::span<const std::uint8_t> d, std::size_t* pos) {
@@ -116,10 +109,6 @@ void MergeByteRange(std::vector<std::pair<std::uint64_t, std::uint64_t>>& ranges
 
 }  // namespace
 
-void PutQuicVarint(std::vector<std::uint8_t>& out, std::uint64_t value) {
-  PutVarintTo(out, value);
-}
-
 std::uint64_t GetQuicVarint(std::span<const std::uint8_t> data, std::size_t* pos) {
   if (*pos >= data.size()) throw compress::CorruptStream("quic: truncated varint");
   const std::uint8_t first = data[*pos];
@@ -146,8 +135,7 @@ QuicConnection::QuicConnection(QuicEndpoint* endpoint, std::uint64_t local_cid,
       peer_node_(peer_node),
       peer_port_(peer_port),
       is_client_(is_client),
-      legacy_(core::knobs::kQuicPath.Is("legacy")) {
-  if (!legacy_) sent_ring_.resize(kInitialRingSize);
+      sent_ring_(kInitialRingSize) {
   // Connection metrics live in the owning Simulator's registry under a
   // per-connection scope; construction order is deterministic per seed.
   obs::MetricRegistry& reg = endpoint_->medium().sim().metrics();
@@ -180,13 +168,6 @@ QuicStats QuicConnection::stats() const {
 }
 
 void QuicConnection::StartHandshake() {
-  if (legacy_) {
-    std::vector<std::uint8_t> frames;
-    frames.push_back(kFramePing);
-    SendPacket(std::move(frames), /*ack_eliciting=*/true, {}, /*long_header=*/true,
-               kLongTypeInitial);
-    return;
-  }
   QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeInitial);
   w.push_back(kFramePing);
   FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr, /*pad_initial=*/true);
@@ -220,21 +201,11 @@ void QuicConnection::SendStreamData(std::uint64_t stream_id,
 
 void QuicConnection::Close(std::uint64_t error_code) {
   if (closed_) return;
-  if (legacy_) {
-    std::vector<std::uint8_t> frames;
-    frames.push_back(kFrameConnectionClose);
-    PutQuicVarint(frames, error_code);
-    PutQuicVarint(frames, 0);  // offending frame type (none)
-    PutQuicVarint(frames, 0);  // reason phrase length
-    SendPacket(std::move(frames), /*ack_eliciting=*/false, {}, /*long_header=*/false, 0);
-    closed_ = true;
-    return;
-  }
   QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
   w.push_back(kFrameConnectionClose);
-  PutVarintTo(w, error_code);
-  PutVarintTo(w, 0);  // offending frame type (none)
-  PutVarintTo(w, 0);  // reason phrase length
+  PutVarint(w, error_code);
+  PutVarint(w, 0);  // offending frame type (none)
+  PutVarint(w, 0);  // reason phrase length
   FinishPacket(std::move(w), /*ack_eliciting=*/false, nullptr);
   closed_ = true;
 }
@@ -253,19 +224,12 @@ void QuicConnection::SendDatagram(std::span<const std::uint8_t> data) {
     return;
   }
   obs_.datagrams_sent->Inc();
-  if (legacy_ || 1 + kCidBytes + 9 + 1 + 9 + data.size() > kMaxPacketSize) {
-    // Legacy path — or a datagram too large for the pooled MTU block, where
-    // the unbounded vector builder keeps the historical oversized behaviour.
-    std::vector<std::uint8_t> frames;
-    frames.push_back(kFrameDatagram);
-    PutQuicVarint(frames, data.size());
-    frames.insert(frames.end(), data.begin(), data.end());
-    SendPacket(std::move(frames), /*ack_eliciting=*/true, {}, /*long_header=*/false, 0);
-    return;
-  }
-  QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
+  // A datagram too large for the MTU block gets a block sized to the packet
+  // (short header + two maximal varints + payload); it goes out whole.
+  const std::size_t worst = 1 + kCidBytes + 8 + 1 + 8 + data.size();
+  QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0, std::max(kMaxPacketSize, worst));
   w.push_back(kFrameDatagram);
-  PutVarintTo(w, data.size());
+  PutVarint(w, data.size());
   w.append(data.data(), data.size());
   FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr);
 }
@@ -277,45 +241,8 @@ void QuicConnection::MaybeSendPending() {
     datagram_queue_.pop_front();
     SendDatagram(d);
   }
-  if (!legacy_) {
-    SendPendingStreams();
-    return;
-  }
   while (!stream_queue_.empty()) {
     // Respect the congestion window for reliable data.
-    std::size_t budget = CongestionBudget();
-    if (budget < stream_queue_.front().data.size() + 64) break;
-
-    std::vector<std::uint8_t> frames;
-    std::vector<SentStreamChunk> chunks;
-    while (!stream_queue_.empty() && frames.size() < kMaxPacketSize - 96) {
-      SentStreamChunk c = std::move(stream_queue_.front());
-      const std::size_t cost = c.data.size() + 16;
-      if (!frames.empty() && (frames.size() + cost > kMaxPacketSize - 64 || cost > budget)) {
-        stream_queue_.push_front(std::move(c));
-        break;
-      }
-      stream_queue_.pop_front();
-      budget = budget > cost ? budget - cost : 0;
-      frames.push_back(c.fin ? kFrameStreamFin : kFrameStreamBase);
-      PutQuicVarint(frames, c.stream_id);
-      PutQuicVarint(frames, c.offset);
-      PutQuicVarint(frames, c.data.size());
-      frames.insert(frames.end(), c.data.begin(), c.data.end());
-      chunks.push_back(std::move(c));
-    }
-    if (frames.empty()) break;
-    SendPacket(std::move(frames), /*ack_eliciting=*/true, std::move(chunks),
-               /*long_header=*/false, 0);
-  }
-}
-
-// Default-path twin of the legacy stream-packing loop above. Every
-// threshold, ordering quirk, and queue manipulation is mirrored exactly —
-// including the move-then-push_front on the rejection path — because the
-// differential suite holds the two paths to byte-identical wire traffic.
-void QuicConnection::SendPendingStreams() {
-  while (!stream_queue_.empty()) {
     std::size_t budget = CongestionBudget();
     if (budget < stream_queue_.front().data.size() + 64) break;
 
@@ -333,9 +260,9 @@ void QuicConnection::SendPendingStreams() {
       stream_queue_.pop_front();
       budget = budget > cost ? budget - cost : 0;
       w.push_back(c.fin ? kFrameStreamFin : kFrameStreamBase);
-      PutVarintTo(w, c.stream_id);
-      PutVarintTo(w, c.offset);
-      PutVarintTo(w, c.data.size());
+      PutVarint(w, c.stream_id);
+      PutVarint(w, c.offset);
+      PutVarint(w, c.data.size());
       w.append(c.data.data(), c.data.size());
       chunk_scratch_.push_back(std::move(c));
     }
@@ -344,62 +271,21 @@ void QuicConnection::SendPendingStreams() {
   }
 }
 
-void QuicConnection::SendPacket(std::vector<std::uint8_t> frames, bool ack_eliciting,
-                                std::vector<SentStreamChunk> chunks, bool long_header,
-                                std::uint8_t long_type) {
-  const std::uint64_t pn = next_pn_++;
-  std::vector<std::uint8_t> packet;
-  if (long_header) {
-    packet.push_back(static_cast<std::uint8_t>(0xC0 | (long_type << 4)));
-    PutU32To(packet, kQuicVersion);
-    packet.push_back(kCidBytes);
-    PutU64To(packet, remote_cid_);
-    packet.push_back(kCidBytes);
-    PutU64To(packet, local_cid_);
-  } else {
-    packet.push_back(0x40);
-    PutU64To(packet, remote_cid_);
-  }
-  PutQuicVarint(packet, pn);
-  packet.insert(packet.end(), frames.begin(), frames.end());
-  if (long_header && long_type == kLongTypeInitial) {
-    // RFC 9000 §14.1: Initial packets are padded to 1200 bytes.
-    while (packet.size() < kMaxPacketSize) packet.push_back(kFramePadding);
-  }
-
-  SentPacketInfo info;
-  info.sent_time = endpoint_->medium().sim().now();
-  info.bytes = static_cast<std::uint32_t>(packet.size());
-  info.ack_eliciting = ack_eliciting;
-  info.chunks = std::move(chunks);
-  if (ack_eliciting) bytes_in_flight_ += info.bytes;
-  if (legacy_) {
-    sent_packets_[pn] = std::move(info);
-  } else {
-    SentPacketInfo& slot = SentSlot(pn);
-    slot = std::move(info);
-  }
-
-  obs_.packets_sent->Inc();
-  obs_.bytes_sent->Inc(packet.size());
-  endpoint_->SendRaw(peer_node_, peer_port_, std::move(packet));
-  if (ack_eliciting) ArmPto();
-}
-
-QuicPacketWriter QuicConnection::BeginPacket(bool long_header, std::uint8_t long_type) {
-  QuicPacketWriter w(kMaxPacketSize);
+QuicPacketWriter QuicConnection::BeginPacket(bool long_header, std::uint8_t long_type,
+                                             std::size_t capacity) {
+  QuicPacketWriter w(capacity);
   if (long_header) {
     w.push_back(static_cast<std::uint8_t>(0xC0 | (long_type << 4)));
-    PutU32To(w, kQuicVersion);
+    PutU32(w, kQuicVersion);
     w.push_back(kCidBytes);
-    PutU64To(w, remote_cid_);
+    PutU64(w, remote_cid_);
     w.push_back(kCidBytes);
-    PutU64To(w, local_cid_);
+    PutU64(w, local_cid_);
   } else {
     w.push_back(0x40);
-    PutU64To(w, remote_cid_);
+    PutU64(w, remote_cid_);
   }
-  PutVarintTo(w, next_pn_);  // consumed by the matching FinishPacket
+  PutVarint(w, next_pn_);  // consumed by the matching FinishPacket
   return w;
 }
 
@@ -424,10 +310,6 @@ void QuicConnection::FinishPacket(QuicPacketWriter&& w, bool ack_eliciting,
 }
 
 QuicConnection::SentPacketInfo* QuicConnection::FindSent(std::uint64_t pn) {
-  if (legacy_) {
-    const auto it = sent_packets_.find(pn);
-    return it == sent_packets_.end() ? nullptr : &it->second;
-  }
   if (pn < ring_base_ || pn >= next_pn_) return nullptr;
   return &sent_ring_[pn & (sent_ring_.size() - 1)];
 }
@@ -489,18 +371,10 @@ void QuicConnection::OnDatagramReceived(std::span<const std::uint8_t> payload) {
     if (is_long && long_type == kLongTypeInitial && !is_client_ && !established_) {
       // Server side: answer the Initial with a Handshake packet carrying
       // HANDSHAKE_DONE, then consider the connection usable.
-      if (legacy_) {
-        std::vector<std::uint8_t> frames;
-        AppendAckFrameTo(frames);
-        frames.push_back(kFrameHandshakeDone);
-        SendPacket(std::move(frames), /*ack_eliciting=*/true, {}, /*long_header=*/true,
-                   kLongTypeHandshake);
-      } else {
-        QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeHandshake);
-        AppendAckFrameTo(w);
-        w.push_back(kFrameHandshakeDone);
-        FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr);
-      }
+      QuicPacketWriter w = BeginPacket(/*long_header=*/true, kLongTypeHandshake);
+      AppendAckFrame(w);
+      w.push_back(kFrameHandshakeDone);
+      FinishPacket(std::move(w), /*ack_eliciting=*/true, nullptr);
       established_ = true;
     }
     if (!was_established && established_ && on_established_) on_established_();
@@ -567,31 +441,9 @@ void QuicConnection::ProcessFrames(std::span<const std::uint8_t> payload) {
         const std::uint64_t offset = GetQuicVarint(payload, &pos);
         const std::uint64_t length = GetQuicVarint(payload, &pos);
         if (pos + length > payload.size()) throw compress::CorruptStream("quic: stream overrun");
-        if (!legacy_) {
-          OnStreamSegment(stream_id, offset, payload.subspan(pos, length),
-                          type == kFrameStreamFin);
-          pos += length;
-          break;
-        }
-        RecvStream& rs = recv_streams_[stream_id];
-        if (offset >= rs.delivered) {
-          rs.segments.emplace(
-              offset, std::vector<std::uint8_t>(payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                                                payload.begin() + static_cast<std::ptrdiff_t>(pos + length)));
-        }
-        if (type == kFrameStreamFin) rs.fin_offset = offset + length;
+        OnStreamSegment(stream_id, offset, payload.subspan(pos, length),
+                        type == kFrameStreamFin);
         pos += length;
-        // In-order delivery of any contiguous prefix.
-        while (true) {
-          const auto it = rs.segments.find(rs.delivered);
-          if (it == rs.segments.end()) break;
-          std::vector<std::uint8_t> data = std::move(it->second);
-          rs.segments.erase(it);
-          rs.delivered += data.size();
-          obs_.stream_bytes_delivered->Inc(data.size());
-          const bool fin = rs.fin_offset && rs.delivered >= *rs.fin_offset;
-          if (on_stream_data_) on_stream_data_(stream_id, data, fin);
-        }
         break;
       }
       case kFrameDatagram: {
@@ -610,10 +462,9 @@ void QuicConnection::ProcessFrames(std::span<const std::uint8_t> payload) {
   }
 }
 
-// Default-path stream reassembly: bytes land in a contiguous window anchored
-// at the delivery frontier, with merged range bookkeeping. Consecutive
-// segments arriving out of order are handed to the application as one merged
-// run — same bytes in the same order as the legacy per-segment delivery.
+// Stream reassembly: bytes land in a contiguous window anchored at the
+// delivery frontier, with merged range bookkeeping. Consecutive segments
+// arriving out of order are handed to the application as one merged run.
 void QuicConnection::OnStreamSegment(std::uint64_t stream_id, std::uint64_t offset,
                                      std::span<const std::uint8_t> data, bool fin) {
   RecvAssembly& rs = recv_assembly_[stream_id];
@@ -647,8 +498,8 @@ void QuicConnection::OnStreamSegment(std::uint64_t stream_id, std::uint64_t offs
     if (on_stream_data_) on_stream_data_(stream_id, std::span(rs.window.data(), n), done);
     rs.window.erase(rs.window.begin(), rs.window.begin() + static_cast<std::ptrdiff_t>(n));
   }
-  // Legacy parity: an empty FIN segment at the delivery frontier signals
-  // end-of-stream with an empty payload.
+  // An empty FIN segment at the delivery frontier signals end-of-stream with
+  // an empty payload.
   if (data.empty() && fin && offset == rs.delivered && rs.fin_offset == rs.delivered) {
     if (on_stream_data_) on_stream_data_(stream_id, {}, true);
   }
@@ -697,9 +548,9 @@ void QuicConnection::HandleAckFrame(std::span<const std::uint8_t> payload, std::
 }
 
 void QuicConnection::AckRange(std::uint64_t lo, std::uint64_t hi) {
-  // On the ring path the retired prefix is coalesced away in one clamp
-  // instead of a per-pn map miss each.
-  if (!legacy_ && lo < ring_base_) lo = ring_base_;
+  // The retired prefix is coalesced away in one clamp instead of a per-pn
+  // miss each.
+  if (lo < ring_base_) lo = ring_base_;
   for (std::uint64_t pn = lo; pn <= hi; ++pn) OnPacketAcked(pn);
 }
 
@@ -746,14 +597,8 @@ void QuicConnection::DetectLosses() {
     if (pn >= recovery_start_pn_) congestion_event = true;
     return false;
   };
-  if (legacy_) {
-    for (auto& [pn, info] : sent_packets_) {
-      if (check(pn, info)) break;
-    }
-  } else {
-    for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
-      if (check(pn, sent_ring_[pn & (sent_ring_.size() - 1)])) break;
-    }
+  for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
+    if (check(pn, sent_ring_[pn & (sent_ring_.size() - 1)])) break;
   }
   if (congestion_event) {
     ssthresh_ = std::max(cwnd_ / 2, 2 * kMaxPacketSize);
@@ -765,14 +610,6 @@ void QuicConnection::DetectLosses() {
 
 void QuicConnection::RetireSettled() {
   // Prune settled history so tracking state stays small on long sessions.
-  if (legacy_) {
-    while (!sent_packets_.empty()) {
-      const auto first = sent_packets_.begin();
-      if (!(first->second.acked || first->second.lost)) break;
-      sent_packets_.erase(first);
-    }
-    return;
-  }
   while (ring_base_ < next_pn_) {
     SentPacketInfo& s = sent_ring_[ring_base_ & (sent_ring_.size() - 1)];
     if (!(s.acked || s.lost)) break;
@@ -813,23 +650,22 @@ void QuicConnection::RecordReceivedPn(std::uint64_t pn) {
   }
 }
 
-template <class Out>
-void QuicConnection::AppendAckFrameTo(Out& out) {
+void QuicConnection::AppendAckFrame(QuicPacketWriter& out) {
   if (recv_ranges_.empty()) return;
   const std::size_t nranges = std::min(recv_ranges_.size(), kMaxAckRanges);
   out.push_back(kFrameAck);
   const auto& top = recv_ranges_.back();
-  PutVarintTo(out, top.second);                 // largest acknowledged
+  PutVarint(out, top.second);                 // largest acknowledged
   const net::SimTime held = endpoint_->medium().sim().now() - first_pending_ack_time_;
-  PutVarintTo(out, static_cast<std::uint64_t>(std::max<net::SimTime>(held, 0) /
+  PutVarint(out, static_cast<std::uint64_t>(std::max<net::SimTime>(held, 0) /
                                               net::kMicrosecond));  // ack delay, µs
-  PutVarintTo(out, nranges - 1);                // additional ranges
-  PutVarintTo(out, top.second - top.first);     // first range length
+  PutVarint(out, nranges - 1);                // additional ranges
+  PutVarint(out, top.second - top.first);     // first range length
   std::uint64_t cursor = top.first;
   const auto last = recv_ranges_.rbegin() + static_cast<std::ptrdiff_t>(nranges);
   for (auto it = recv_ranges_.rbegin() + 1; it != last; ++it) {
-    PutVarintTo(out, cursor - it->second - 2);  // gap
-    PutVarintTo(out, it->second - it->first);   // range length
+    PutVarint(out, cursor - it->second - 2);  // gap
+    PutVarint(out, it->second - it->first);   // range length
     cursor = it->first;
   }
 }
@@ -839,14 +675,8 @@ void QuicConnection::SendAckIfNeeded() {
   ack_pending_ = false;
   pending_ack_eliciting_ = 0;
   if (recv_ranges_.empty()) return;
-  if (legacy_) {
-    std::vector<std::uint8_t> frames;
-    AppendAckFrameTo(frames);
-    SendPacket(std::move(frames), /*ack_eliciting=*/false, {}, /*long_header=*/false, 0);
-    return;
-  }
   QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
-  AppendAckFrameTo(w);
+  AppendAckFrame(w);
   FinishPacket(std::move(w), /*ack_eliciting=*/false, nullptr);
 }
 
@@ -893,12 +723,8 @@ void QuicConnection::OnPto() {
     obs_.packets_declared_lost->Inc();
     bytes_in_flight_ = bytes_in_flight_ >= info.bytes ? bytes_in_flight_ - info.bytes : 0;
   };
-  if (legacy_) {
-    for (auto& [pn, info] : sent_packets_) resend(info);
-  } else {
-    for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
-      resend(sent_ring_[pn & (sent_ring_.size() - 1)]);
-    }
+  for (std::uint64_t pn = ring_base_; pn < next_pn_; ++pn) {
+    resend(sent_ring_[pn & (sent_ring_.size() - 1)]);
   }
   if (!outstanding && stream_queue_.empty()) return;
   ++pto_backoff_;
@@ -908,10 +734,6 @@ void QuicConnection::OnPto() {
   }
   if (!stream_queue_.empty()) {
     MaybeSendPending();
-  } else if (legacy_) {
-    std::vector<std::uint8_t> frames;
-    frames.push_back(kFramePing);
-    SendPacket(std::move(frames), /*ack_eliciting=*/true, {}, /*long_header=*/false, 0);
   } else {
     QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
     w.push_back(kFramePing);
@@ -955,11 +777,6 @@ QuicConnection* QuicEndpoint::Connect(net::NodeId peer, std::uint16_t peer_port)
   connections_[cid] = std::move(conn);
   raw->StartHandshake();
   return raw;
-}
-
-void QuicEndpoint::SendRaw(net::NodeId dst, std::uint16_t dst_port,
-                           std::vector<std::uint8_t> payload) {
-  medium_->SendUdp(node_, port_, dst, dst_port, std::move(payload));
 }
 
 void QuicEndpoint::SendRaw(net::NodeId dst, std::uint16_t dst_port, net::PacketBuffer payload) {

@@ -252,10 +252,10 @@ TEST(Snapshot, DeterministicAcrossBenchThreadCounts) {
 TEST(Config, CatalogueListsEveryKnob) {
   core::Config& config = core::Config::Instance();
   for (const char* name :
-       {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON", "VTP_SIM_SCHEDULER", "VTP_QUIC_PATH",
-        "VTP_LZ_PARSER", "VTP_OBS", "VTP_ADAPT", "VTP_ENTROPY", "VTP_FLEET_PATH",
-        "VTP_BENCH_REQUIRE_CLEAN", "VTP_FAULT_BURST", "VTP_FAULT_REORDER", "VTP_FAULT_DUP",
-        "VTP_FAULT_FLAP", "VTP_FAULT_RAMP"}) {
+       {"VTP_FULL", "VTP_BENCH_THREADS", "VTP_BENCH_JSON", "VTP_SIM_SCHEDULER", "VTP_LZ_PARSER",
+        "VTP_OBS", "VTP_ADAPT", "VTP_ENTROPY", "VTP_FLEET_PATH", "VTP_BENCH_REQUIRE_CLEAN",
+        "VTP_FAULT_BURST", "VTP_FAULT_REORDER", "VTP_FAULT_DUP", "VTP_FAULT_FLAP",
+        "VTP_FAULT_RAMP"}) {
     EXPECT_NE(config.Find(name), nullptr) << name;
   }
   // The fleet delivery engine defaults to the express path.
@@ -275,18 +275,19 @@ TEST(Config, CatalogueListsEveryKnob) {
 }
 
 TEST(Config, ChoiceKnobKeepsEnvEqualsPrecedence) {
-  unsetenv("VTP_QUIC_PATH");
-  EXPECT_TRUE(core::knobs::kQuicPath.Is("default"));
-  EXPECT_FALSE(core::knobs::kQuicPath.Is("legacy"));
-  setenv("VTP_QUIC_PATH", "legacy", 1);
-  EXPECT_TRUE(core::knobs::kQuicPath.Is("legacy"));
-  EXPECT_FALSE(core::knobs::kQuicPath.Is("default"));
-  EXPECT_TRUE(core::Config::Instance().Find("VTP_QUIC_PATH")->overridden());
+  unsetenv("VTP_MEDIUM");
+  EXPECT_TRUE(core::knobs::kMedium.Is("sim"));
+  EXPECT_FALSE(core::knobs::kMedium.Is("socket"));
+  EXPECT_FALSE(core::Config::Instance().Find("VTP_MEDIUM")->overridden());
+  setenv("VTP_MEDIUM", "socket", 1);
+  EXPECT_TRUE(core::knobs::kMedium.Is("socket"));
+  EXPECT_FALSE(core::knobs::kMedium.Is("sim"));
+  EXPECT_TRUE(core::Config::Instance().Find("VTP_MEDIUM")->overridden());
   // An unrecognised value falls back to the default, same as core::EnvEquals.
-  setenv("VTP_QUIC_PATH", "warp-drive", 1);
-  EXPECT_TRUE(core::knobs::kQuicPath.Is("default"));
-  EXPECT_EQ(core::knobs::kQuicPath.Get(), "default");
-  unsetenv("VTP_QUIC_PATH");
+  setenv("VTP_MEDIUM", "warp-drive", 1);
+  EXPECT_TRUE(core::knobs::kMedium.Is("sim"));
+  EXPECT_EQ(core::knobs::kMedium.Get(), "sim");
+  unsetenv("VTP_MEDIUM");
 }
 
 TEST(Config, BoolKnobParsesAndFallsBack) {

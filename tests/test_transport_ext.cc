@@ -1,9 +1,10 @@
 // Tests for the transport extensions: FEC, the playout buffer, QUIC
-// connection close, the probe-timeout timer, ACK-range edge cases, and the
-// legacy-vs-default transport-path differential suite.
+// connection close, the probe-timeout timer, ACK-range edge cases,
+// oversized datagrams, and the golden-pinned QUIC loss grid.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
@@ -247,6 +248,7 @@ class PipeMedium final : public net::Medium {
     p.dst = dst;
     p.dst_port = dst_port;
     p.payload = std::move(payload);
+    if (on_send) on_send(p);
     sim_.After(one_way_, [this, p] {
       const auto it = handlers_.find({p.dst, p.dst_port});
       if (it != handlers_.end()) it->second(p);
@@ -255,6 +257,7 @@ class PipeMedium final : public net::Medium {
   net::Simulator& sim() override { return sim_; }
 
   bool blackhole = false;
+  std::function<void(const net::Packet&)> on_send;  ///< sees every delivered send
 
  private:
   net::Simulator sim_;
@@ -397,6 +400,16 @@ TEST(FecOverQuic, RecoversMostSingleLossesEndToEnd) {
 // inject them at the victim's UDP port — exercising ACK processing on inputs
 // a well-behaved peer never produces.
 
+/// RFC 9000 varint encoder for hand-forged packets.
+void PutVarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  const int len = v < (1ull << 6) ? 1 : v < (1ull << 14) ? 2 : v < (1ull << 30) ? 4 : 8;
+  const std::uint8_t prefix = len == 1 ? 0x00 : len == 2 ? 0x40 : len == 4 ? 0x80 : 0xC0;
+  for (int i = len - 1; i >= 0; --i) {
+    const auto b = static_cast<std::uint8_t>(v >> (8 * i));
+    out.push_back(i == len - 1 ? static_cast<std::uint8_t>(b | prefix) : b);
+  }
+}
+
 class AckHarness : public ::testing::Test {
  protected:
   AckHarness() : sim_(1), net_(&sim_) {
@@ -423,15 +436,15 @@ class AckHarness : public ::testing::Test {
     for (int i = 7; i >= 0; --i) {
       p.push_back(static_cast<std::uint8_t>(dcid >> (8 * i)));
     }
-    PutQuicVarint(p, pn);
+    PutVarint(p, pn);
     p.push_back(0x02);  // ACK frame
-    PutQuicVarint(p, largest);
-    PutQuicVarint(p, 0);  // ack delay (us)
-    PutQuicVarint(p, ranges.size());
-    PutQuicVarint(p, first_range);
+    PutVarint(p, largest);
+    PutVarint(p, 0);  // ack delay (us)
+    PutVarint(p, ranges.size());
+    PutVarint(p, first_range);
     for (const auto& [gap, len] : ranges) {
-      PutQuicVarint(p, gap);
-      PutQuicVarint(p, len);
+      PutVarint(p, gap);
+      PutVarint(p, len);
     }
     return p;
   }
@@ -458,20 +471,9 @@ class AckHarness : public ::testing::Test {
   net::NodeId a_ = 0, b_ = 0;
 };
 
-class AckPathCase : public AckHarness,
-                    public ::testing::WithParamInterface<const char*> {
- protected:
-  AckPathCase() {
-    if (std::string(GetParam()) == "legacy") {
-      setenv("VTP_QUIC_PATH", "legacy", 1);
-    } else {
-      unsetenv("VTP_QUIC_PATH");
-    }
-  }
-  ~AckPathCase() override { unsetenv("VTP_QUIC_PATH"); }
-};
+class AckPathCase : public AckHarness {};
 
-TEST_P(AckPathCase, OutOfOrderAckRangesAllSettle) {
+TEST_F(AckPathCase, OutOfOrderAckRangesAllSettle) {
   QuicEndpoint client(&net_, a_, 9100), server(&net_, b_, 4433);
   QuicConnection* conn = Establish(client, server, 20);
   const std::uint64_t cid = FirstCid(a_, 9100);
@@ -492,7 +494,7 @@ TEST_P(AckPathCase, OutOfOrderAckRangesAllSettle) {
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
 }
 
-TEST_P(AckPathCase, DuplicateAcksAreIdempotent) {
+TEST_F(AckPathCase, DuplicateAcksAreIdempotent) {
   QuicEndpoint client(&net_, a_, 9101), server(&net_, b_, 4433);
   QuicConnection* conn = Establish(client, server, 10);
   const std::uint64_t cid = FirstCid(a_, 9101);
@@ -512,7 +514,7 @@ TEST_P(AckPathCase, DuplicateAcksAreIdempotent) {
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
 }
 
-TEST_P(AckPathCase, AckOfUnsentPacketsIsDroppedHarmlessly) {
+TEST_F(AckPathCase, AckOfUnsentPacketsIsDroppedHarmlessly) {
   QuicEndpoint client(&net_, a_, 9102), server(&net_, b_, 4433);
   QuicConnection* conn = Establish(client, server, 5);
   const std::uint64_t cid = FirstCid(a_, 9102);
@@ -534,7 +536,7 @@ TEST_P(AckPathCase, AckOfUnsentPacketsIsDroppedHarmlessly) {
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
 }
 
-TEST_P(AckPathCase, LateAckOfRetransmittedPacketIsBenign) {
+TEST_F(AckPathCase, LateAckOfRetransmittedPacketIsBenign) {
   net::Netem netem(&net_, a_, net_.AccessRouter(a_));
   QuicEndpoint client(&net_, a_, 9103), server(&net_, b_, 4433);
   std::vector<std::uint8_t> received;
@@ -576,8 +578,6 @@ TEST_P(AckPathCase, LateAckOfRetransmittedPacketIsBenign) {
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
 }
 
-INSTANTIATE_TEST_SUITE_P(Paths, AckPathCase, ::testing::Values("default", "legacy"));
-
 // --- pre-handshake datagram queue cap -----------------------------------------------
 
 TEST_F(AckHarness, PreHandshakeQueueCapDropsOldest) {
@@ -604,12 +604,45 @@ TEST_F(AckHarness, PreHandshakeQueueCapDropsOldest) {
   EXPECT_EQ(first_bytes.back(), static_cast<std::uint8_t>(199));
 }
 
-// --- legacy vs default path differential suite --------------------------------------
+// --- oversized datagrams ------------------------------------------------------------
 //
-// The default (pooled-writer / ring-buffer) path must be indistinguishable
-// from the legacy path on the wire and at the application edge. Each
-// scenario runs twice in identical deterministic simulations — once per
-// path — and every observable is compared.
+// A DATAGRAM too large for the 1200-byte MTU block is written into a block
+// sized to the packet and goes out whole.
+
+TEST(QuicDatagram, OversizedDatagramRoundTripsWhole) {
+  PipeMedium medium(net::Millis(10));
+  std::vector<std::size_t> wire_sizes;
+  medium.on_send = [&](const net::Packet& p) { wire_sizes.push_back(p.payload.size()); };
+  QuicEndpoint client(&medium, 1, 9000), server(&medium, 2, 4433);
+  std::vector<std::vector<std::uint8_t>> received;
+  server.set_on_accept([&](QuicConnection* conn) {
+    conn->set_on_datagram([&](std::span<const std::uint8_t> d) {
+      received.emplace_back(d.begin(), d.end());
+    });
+  });
+  QuicConnection* conn = client.Connect(2, 4433);
+  medium.sim().RunUntil(net::Millis(100));
+  ASSERT_TRUE(conn->established());
+
+  std::vector<std::uint8_t> big(3000);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  wire_sizes.clear();
+  conn->SendDatagram(big);
+  // Short header (type byte, 8-byte CID, 1-byte packet number), then the
+  // DATAGRAM type byte, a 2-byte length varint and the payload.
+  ASSERT_EQ(wire_sizes.size(), 1u);
+  EXPECT_EQ(wire_sizes[0], 3013u);
+  medium.sim().RunUntil(net::Millis(200));
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0], big);
+}
+
+// --- QUIC loss grid, pinned to golden digests ---------------------------------------
+//
+// One mixed-traffic session (streams + datagrams + loss) per loss rate.
+// Every observable — the client's wire trace, application-edge delivery and
+// transport accounting — is pinned to golden values, so any change to
+// packetization, loss recovery or reassembly shows up here.
 
 std::uint64_t Fnv1a(std::uint64_t h, std::span<const std::uint8_t> data) {
   for (const std::uint8_t b : data) {
@@ -626,11 +659,40 @@ struct DifferentialResult {
   std::uint64_t stream_bytes = 0;
   std::uint64_t datagrams = 0;
   QuicStats client_stats;
+  /// Per stream: the bytes delivered so far at each fin=true callback.
+  std::map<std::uint64_t, std::vector<std::uint64_t>> fin_at;
 };
 
-/// One mixed-traffic session (streams + datagrams + loss) on the path
-/// selected by VTP_QUIC_PATH at entry.
-DifferentialResult RunDifferentialSession(double loss) {
+using PacketTap = std::function<void(std::span<const std::uint8_t>)>;
+
+/// Forwards to another Medium, showing every sent payload to a tap first.
+class TapMedium final : public net::Medium {
+ public:
+  TapMedium(net::Medium* inner, PacketTap tap) : inner_(inner), tap_(std::move(tap)) {}
+
+  void BindUdp(net::NodeId node, std::uint16_t port, net::DatagramHandler handler) override {
+    inner_->BindUdp(node, port, std::move(handler));
+  }
+  void UnbindUdp(net::NodeId node, std::uint16_t port) override { inner_->UnbindUdp(node, port); }
+  void SendUdp(net::NodeId src, std::uint16_t src_port, net::NodeId dst, std::uint16_t dst_port,
+               const std::vector<std::uint8_t>& payload) override {
+    if (tap_) tap_(payload);
+    inner_->SendUdp(src, src_port, dst, dst_port, payload);
+  }
+  void SendUdp(net::NodeId src, std::uint16_t src_port, net::NodeId dst, std::uint16_t dst_port,
+               net::PacketBuffer payload) override {
+    if (tap_) tap_(payload.view());
+    inner_->SendUdp(src, src_port, dst, dst_port, std::move(payload));
+  }
+  net::Simulator& sim() override { return inner_->sim(); }
+
+ private:
+  net::Medium* inner_;
+  PacketTap tap_;
+};
+
+/// The mixed-traffic session; `client_tap` sees every packet the client sends.
+DifferentialResult RunDifferentialSession(double loss, PacketTap client_tap = {}) {
   net::Simulator sim(1);
   net::Network net(&sim);
   net.BuildBackbone();
@@ -644,15 +706,19 @@ DifferentialResult RunDifferentialSession(double loss) {
   netem.SetLoss(loss);
 
   DifferentialResult r;
-  QuicEndpoint client(&net, a, 9200), server(&net, b, 4433);
+  std::map<std::uint64_t, std::uint64_t> delivered;
+  TapMedium client_medium(&net, std::move(client_tap));
+  QuicEndpoint client(&client_medium, a, 9200), server(&net, b, 4433);
   server.set_on_accept([&](QuicConnection* conn) {
     conn->set_on_stream_data(
         [&](std::uint64_t id, std::span<const std::uint8_t> d, bool fin) {
           r.stream_digest = Fnv1a(r.stream_digest, d);
           r.stream_bytes += d.size();
+          delivered[id] += d.size();
           if (fin) {
             const std::uint8_t marker[1] = {static_cast<std::uint8_t>(id)};
             r.stream_digest = Fnv1a(r.stream_digest, marker);
+            r.fin_at[id].push_back(delivered[id]);
           }
         });
     conn->set_on_datagram([&](std::span<const std::uint8_t> d) {
@@ -695,38 +761,63 @@ DifferentialResult RunDifferentialSession(double loss) {
   return r;
 }
 
-class DifferentialLoss : public ::testing::TestWithParam<double> {};
+/// Golden observables of one loss-grid session.
+struct LossGolden {
+  double loss;
+  std::uint64_t wire_packets;
+  std::uint64_t wire_digest;
+  std::uint64_t stream_bytes;
+  std::uint64_t stream_digest;
+  std::uint64_t datagrams;
+  std::uint64_t datagram_digest;
+  std::uint64_t packets_sent;
+  std::uint64_t packets_received;
+  std::uint64_t packets_declared_lost;
+  std::uint64_t bytes_sent;
+  std::uint64_t datagrams_sent;
+  double smoothed_rtt_ms;
+};
 
-TEST_P(DifferentialLoss, LegacyAndDefaultPathsAreIndistinguishable) {
-  setenv("VTP_QUIC_PATH", "legacy", 1);
-  const DifferentialResult legacy = RunDifferentialSession(GetParam());
-  unsetenv("VTP_QUIC_PATH");
-  const DifferentialResult fresh = RunDifferentialSession(GetParam());
+void PrintTo(const LossGolden& g, std::ostream* os) { *os << "loss=" << g.loss; }
 
-  // Byte-identical wire traffic...
-  EXPECT_EQ(fresh.wire_packets, legacy.wire_packets);
-  EXPECT_EQ(fresh.wire_digest, legacy.wire_digest);
-  // ...identical application-edge delivery...
-  EXPECT_EQ(fresh.stream_bytes, legacy.stream_bytes);
-  EXPECT_EQ(fresh.stream_digest, legacy.stream_digest);
-  EXPECT_EQ(fresh.datagrams, legacy.datagrams);
-  EXPECT_EQ(fresh.datagram_digest, legacy.datagram_digest);
-  // ...and identical transport accounting.
-  EXPECT_EQ(fresh.client_stats.packets_sent, legacy.client_stats.packets_sent);
-  EXPECT_EQ(fresh.client_stats.packets_received, legacy.client_stats.packets_received);
-  EXPECT_EQ(fresh.client_stats.packets_declared_lost,
-            legacy.client_stats.packets_declared_lost);
-  EXPECT_EQ(fresh.client_stats.bytes_sent, legacy.client_stats.bytes_sent);
-  EXPECT_EQ(fresh.client_stats.datagrams_sent, legacy.client_stats.datagrams_sent);
-  EXPECT_DOUBLE_EQ(fresh.client_stats.smoothed_rtt_ms,
-                   legacy.client_stats.smoothed_rtt_ms);
+constexpr LossGolden kLossGoldens[] = {
+    // loss, wire packets/digest, stream bytes/digest, datagrams/digest,
+    // client packets sent/received/declared lost, bytes sent, datagrams
+    // sent, smoothed RTT (ms).
+    {0.0, 305, 0x20fb0b3d7f3ff61dull, 85000, 0xbf2308bd58e8e797ull, 121, 0xc21fea4cf95c7f4bull,
+     201, 104, 0, 132510, 121, 72.51304},
+    {0.05, 312, 0x08b842eb96e79cafull, 85000, 0xc2ba6d0ea2d06c5full, 119, 0x559cbf2efb34d22cull,
+     208, 110, 6, 136282, 121, 77.55011},
+    {0.15, 351, 0x57f91460be246684ull, 85000, 0x989d1a81f629622dull, 101, 0x1ede39ad3872f0cdull,
+     272, 130, 51, 158782, 121, 78.718503},
+};
+
+class DifferentialLoss : public ::testing::TestWithParam<LossGolden> {};
+
+TEST_P(DifferentialLoss, SessionMatchesGoldens) {
+  const LossGolden& g = GetParam();
+  const DifferentialResult r = RunDifferentialSession(g.loss);
+  // Wire traffic...
+  EXPECT_EQ(r.wire_packets, g.wire_packets);
+  EXPECT_EQ(r.wire_digest, g.wire_digest);
+  // ...application-edge delivery...
+  EXPECT_EQ(r.stream_bytes, g.stream_bytes);
+  EXPECT_EQ(r.stream_digest, g.stream_digest);
+  EXPECT_EQ(r.datagrams, g.datagrams);
+  EXPECT_EQ(r.datagram_digest, g.datagram_digest);
+  // ...and transport accounting.
+  EXPECT_EQ(r.client_stats.packets_sent, g.packets_sent);
+  EXPECT_EQ(r.client_stats.packets_received, g.packets_received);
+  EXPECT_EQ(r.client_stats.packets_declared_lost, g.packets_declared_lost);
+  EXPECT_EQ(r.client_stats.bytes_sent, g.bytes_sent);
+  EXPECT_EQ(r.client_stats.datagrams_sent, g.datagrams_sent);
+  EXPECT_DOUBLE_EQ(r.client_stats.smoothed_rtt_ms, g.smoothed_rtt_ms);
   // Sanity: the scenario exercised real traffic.
-  EXPECT_EQ(fresh.stream_bytes, 85000u);
-  EXPECT_GT(fresh.datagrams, 0u);
+  EXPECT_EQ(r.stream_bytes, 85000u);
+  EXPECT_GT(r.datagrams, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(LossGrid, DifferentialLoss,
-                         ::testing::Values(0.0, 0.05, 0.15));
+INSTANTIATE_TEST_SUITE_P(LossGrid, DifferentialLoss, ::testing::ValuesIn(kLossGoldens));
 
 // --- FEC differential & reconciliation ----------------------------------------------
 
