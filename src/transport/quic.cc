@@ -249,24 +249,25 @@ void QuicConnection::MaybeSendPending() {
     QuicPacketWriter w = BeginPacket(/*long_header=*/false, 0);
     const std::size_t header = w.size();
     chunk_scratch_.clear();
+    // The first chunk always goes in; the rest join while the packet and
+    // the window have room. A chunk that does not fit stays queued, intact,
+    // for the next packet.
     while (!stream_queue_.empty() && w.size() - header < kMaxPacketSize - 96) {
-      SentStreamChunk c = std::move(stream_queue_.front());
+      const SentStreamChunk& c = stream_queue_.front();
       const std::size_t cost = c.data.size() + 16;
       if (w.size() != header &&
           (w.size() - header + cost > kMaxPacketSize - 64 || cost > budget)) {
-        stream_queue_.push_front(std::move(c));
         break;
       }
-      stream_queue_.pop_front();
       budget = budget > cost ? budget - cost : 0;
       w.push_back(c.fin ? kFrameStreamFin : kFrameStreamBase);
       PutVarint(w, c.stream_id);
       PutVarint(w, c.offset);
       PutVarint(w, c.data.size());
       w.append(c.data.data(), c.data.size());
-      chunk_scratch_.push_back(std::move(c));
+      chunk_scratch_.push_back(std::move(stream_queue_.front()));
+      stream_queue_.pop_front();
     }
-    if (w.size() == header) break;
     FinishPacket(std::move(w), /*ack_eliciting=*/true, &chunk_scratch_);
   }
 }
