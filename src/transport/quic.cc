@@ -522,9 +522,13 @@ void QuicConnection::HandleAckFrame(std::span<const std::uint8_t> payload, std::
   // RTT sample from the largest acked, if it is newly acknowledged.
   if (SentPacketInfo* info = FindSent(largest);
       info != nullptr && !info->acked && !info->lost) {
-    const net::SimTime now = endpoint_->medium().sim().now();
-    net::SimTime sample = now - info->sent_time -
-                          static_cast<net::SimTime>(ack_delay_us) * net::kMicrosecond;
+    const net::SimTime flight = endpoint_->medium().sim().now() - info->sent_time;
+    // The peer's ack delay is capped at the whole flight before converting
+    // to SimTime, so a forged 62-bit value cannot overflow; a delay that
+    // long floors the sample at 1 us either way.
+    const std::uint64_t delay_us =
+        std::min(ack_delay_us, static_cast<std::uint64_t>(flight / net::kMicrosecond));
+    net::SimTime sample = flight - static_cast<net::SimTime>(delay_us) * net::kMicrosecond;
     if (sample < net::Micros(1)) sample = net::Micros(1);
     UpdateRtt(sample);
   }

@@ -430,7 +430,8 @@ class AckHarness : public ::testing::Test {
   static std::vector<std::uint8_t> ForgeAck(
       std::uint64_t dcid, std::uint64_t pn, std::uint64_t largest,
       std::uint64_t first_range,
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = {}) {
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = {},
+      std::uint64_t ack_delay_us = 0) {
     std::vector<std::uint8_t> p;
     p.push_back(0x40);
     for (int i = 7; i >= 0; --i) {
@@ -439,7 +440,7 @@ class AckHarness : public ::testing::Test {
     PutVarint(p, pn);
     p.push_back(0x02);  // ACK frame
     PutVarint(p, largest);
-    PutVarint(p, 0);  // ack delay (us)
+    PutVarint(p, ack_delay_us);
     PutVarint(p, ranges.size());
     PutVarint(p, first_range);
     for (const auto& [gap, len] : ranges) {
@@ -576,6 +577,25 @@ TEST_F(AckPathCase, LateAckOfRetransmittedPacketIsBenign) {
   conn->SendDatagram(std::vector<std::uint8_t>(100, 9));
   sim_.RunUntil(sim_.now() + net::Millis(200));
   EXPECT_EQ(conn->stats().datagrams_sent, sent_before + 1);
+}
+
+TEST_F(AckPathCase, HugeAckDelayCannotInflateRtt) {
+  QuicEndpoint client(&net_, a_, 9105), server(&net_, b_, 4433);
+  QuicConnection* conn = Establish(client, server, 0);
+  const std::uint64_t cid = FirstCid(a_, 9105);
+  const double srtt_before = conn->stats().smoothed_rtt_ms;
+
+  // Ack a fresh datagram ahead of the server's (delayed) real ACK, claiming
+  // an ack delay whose us -> ns product overflows int64 to about -1 s.
+  conn->SendDatagram(std::vector<std::uint8_t>(100, 1));
+  const std::uint64_t pn = conn->stats().packets_sent - 1;
+  net_.SendUdp(b_, 44000, a_, 9105,
+               ForgeAck(cid, 5000, pn, 0, {}, /*ack_delay_us=*/18446744072709551ull));
+  sim_.RunUntil(sim_.now() + net::Millis(500));
+
+  // An over-long delay floors the sample at 1 us: srtt can only drop.
+  EXPECT_LE(conn->stats().smoothed_rtt_ms, srtt_before);
+  EXPECT_TRUE(conn->established());
 }
 
 // --- pre-handshake datagram queue cap -----------------------------------------------
