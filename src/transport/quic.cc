@@ -660,12 +660,12 @@ void QuicConnection::AppendAckFrame(QuicPacketWriter& out) {
   const std::size_t nranges = std::min(recv_ranges_.size(), kMaxAckRanges);
   out.push_back(kFrameAck);
   const auto& top = recv_ranges_.back();
-  PutVarint(out, top.second);                 // largest acknowledged
+  PutVarint(out, top.second);               // largest acknowledged
   const net::SimTime held = endpoint_->medium().sim().now() - first_pending_ack_time_;
   PutVarint(out, static_cast<std::uint64_t>(std::max<net::SimTime>(held, 0) /
-                                              net::kMicrosecond));  // ack delay, µs
-  PutVarint(out, nranges - 1);                // additional ranges
-  PutVarint(out, top.second - top.first);     // first range length
+                                            net::kMicrosecond));  // ack delay, µs
+  PutVarint(out, nranges - 1);              // additional ranges
+  PutVarint(out, top.second - top.first);   // first range length
   std::uint64_t cursor = top.first;
   const auto last = recv_ranges_.rbegin() + static_cast<std::ptrdiff_t>(nranges);
   for (auto it = recv_ranges_.rbegin() + 1; it != last; ++it) {

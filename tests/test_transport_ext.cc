@@ -248,7 +248,6 @@ class PipeMedium final : public net::Medium {
     p.dst = dst;
     p.dst_port = dst_port;
     p.payload = std::move(payload);
-    if (on_send) on_send(p);
     sim_.After(one_way_, [this, p] {
       const auto it = handlers_.find({p.dst, p.dst_port});
       if (it != handlers_.end()) it->second(p);
@@ -257,7 +256,6 @@ class PipeMedium final : public net::Medium {
   net::Simulator& sim() override { return sim_; }
 
   bool blackhole = false;
-  std::function<void(const net::Packet&)> on_send;  ///< sees every delivered send
 
  private:
   net::Simulator sim_;
@@ -631,8 +629,6 @@ TEST_F(AckHarness, PreHandshakeQueueCapDropsOldest) {
 
 TEST(QuicDatagram, OversizedDatagramRoundTripsWhole) {
   PipeMedium medium(net::Millis(10));
-  std::vector<std::size_t> wire_sizes;
-  medium.on_send = [&](const net::Packet& p) { wire_sizes.push_back(p.payload.size()); };
   QuicEndpoint client(&medium, 1, 9000), server(&medium, 2, 4433);
   std::vector<std::vector<std::uint8_t>> received;
   server.set_on_accept([&](QuicConnection* conn) {
@@ -646,12 +642,12 @@ TEST(QuicDatagram, OversizedDatagramRoundTripsWhole) {
 
   std::vector<std::uint8_t> big(3000);
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 37 + 11);
-  wire_sizes.clear();
+  const QuicStats before = conn->stats();
   conn->SendDatagram(big);
-  // Short header (type byte, 8-byte CID, 1-byte packet number), then the
-  // DATAGRAM type byte, a 2-byte length varint and the payload.
-  ASSERT_EQ(wire_sizes.size(), 1u);
-  EXPECT_EQ(wire_sizes[0], 3013u);
+  // One packet: short header (type byte, 8-byte CID, 1-byte packet number),
+  // then the DATAGRAM type byte, a 2-byte length varint and the payload.
+  EXPECT_EQ(conn->stats().packets_sent - before.packets_sent, 1u);
+  EXPECT_EQ(conn->stats().bytes_sent - before.bytes_sent, 3013u);
   medium.sim().RunUntil(net::Millis(200));
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0], big);
