@@ -159,17 +159,21 @@ TriangleMesh DecodeMesh(std::span<const std::uint8_t> data) {
 
   const std::uint32_t grid = (1u << position_bits) - 1;
   const Vec3 size = box.Size();
-  const auto dequantize = [&](std::int64_t q, float lo, float extent) -> float {
+  const auto dequantize = [&](std::uint64_t q, float lo, float extent) -> float {
     return lo + static_cast<float>(q) / static_cast<float>(grid) * extent;
   };
 
   compress::RangeDecoder rc(data.subspan(pos));
   std::array<ResidualCoder, 3> pos_coder;
-  std::array<std::int64_t, 3> prev = {0, 0, 0};
+  // Unsigned (wrapping) accumulation: forged residuals cannot overflow, and
+  // a value that left [0, grid] is caught by one unsigned compare.
+  std::array<std::uint64_t, 3> prev = {0, 0, 0};
   for (std::uint64_t i = 0; i < vertices; ++i) {
     Vec3 p;
     for (int c = 0; c < 3; ++c) {
-      prev[static_cast<std::size_t>(c)] += pos_coder[static_cast<std::size_t>(c)].Decode(rc);
+      const auto sc = static_cast<std::size_t>(c);
+      prev[sc] += static_cast<std::uint64_t>(pos_coder[sc].Decode(rc));
+      if (prev[sc] > grid) throw compress::CorruptStream("mesh: position out of range");
     }
     p.x = dequantize(prev[0], box.min.x, size.x);
     p.y = dequantize(prev[1], box.min.y, size.y);

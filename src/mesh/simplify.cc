@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <vector>
 
 namespace vtp::mesh {
 
@@ -12,24 +13,53 @@ std::uint64_t CellKey(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
   return (static_cast<std::uint64_t>(x) << 42) | (static_cast<std::uint64_t>(y) << 21) | z;
 }
 
+/// Maps positions to packed cell keys of a `cells_per_axis`^3 grid over
+/// `box`. SimplifyGrid and the triangle count share it, so both assign every
+/// vertex the same cell.
+class CellGrid {
+ public:
+  CellGrid(const Aabb& box, std::size_t cells_per_axis)
+      : box_(box),
+        size_(box.Size()),
+        n_(static_cast<float>(std::max<std::size_t>(cells_per_axis, 1))) {}
+
+  std::uint64_t operator()(Vec3 p) const {
+    return CellKey(Axis(p.x, box_.min.x, size_.x), Axis(p.y, box_.min.y, size_.y),
+                   Axis(p.z, box_.min.z, size_.z));
+  }
+
+ private:
+  std::uint32_t Axis(float v, float lo, float extent) const {
+    if (extent <= 0) return 0;
+    const float t = (v - lo) / extent * n_;
+    return static_cast<std::uint32_t>(std::clamp(t, 0.0f, n_ - 1.0f));
+  }
+
+  Aabb box_;
+  Vec3 size_;
+  float n_;
+};
+
+/// Triangles SimplifyGrid keeps at `cells_per_axis`: those whose three
+/// vertices land in pairwise distinct cells. `keys` is scratch space reused
+/// across calls.
+std::size_t CountSurvivors(const TriangleMesh& input, const Aabb& box,
+                           std::size_t cells_per_axis, std::vector<std::uint64_t>& keys) {
+  const CellGrid cell_of(box, cells_per_axis);
+  keys.resize(input.vertex_count());
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = cell_of(input.positions[i]);
+  std::size_t survivors = 0;
+  for (const auto& t : input.triangles) {
+    const std::uint64_t a = keys[t[0]], b = keys[t[1]], c = keys[t[2]];
+    survivors += (a != b && b != c && a != c) ? 1 : 0;
+  }
+  return survivors;
+}
+
 }  // namespace
 
 TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis) {
-  if (cells_per_axis < 1) cells_per_axis = 1;
-  const Aabb box = input.Bounds();
-  const Vec3 size = box.Size();
-  const float n = static_cast<float>(cells_per_axis);
-
-  const auto cell_of = [&](Vec3 p) -> std::uint64_t {
-    const auto axis = [&](float v, float lo, float extent) -> std::uint32_t {
-      if (extent <= 0) return 0;
-      const float t = (v - lo) / extent * n;
-      return static_cast<std::uint32_t>(
-          std::clamp(t, 0.0f, n - 1.0f));
-    };
-    return CellKey(axis(p.x, box.min.x, size.x), axis(p.y, box.min.y, size.y),
-                   axis(p.z, box.min.z, size.z));
-  };
+  const CellGrid cell_of(input.Bounds(), cells_per_axis);
 
   // First pass: centroid per occupied cell.
   struct Accum {
@@ -64,6 +94,11 @@ TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis)
   return out;
 }
 
+std::size_t SimplifyGridTriangleCount(const TriangleMesh& input, std::size_t cells_per_axis) {
+  std::vector<std::uint64_t> keys;
+  return CountSurvivors(input, input.Bounds(), cells_per_axis, keys);
+}
+
 TriangleMesh SimplifyToFraction(const TriangleMesh& input, double fraction) {
   fraction = std::clamp(fraction, 1e-6, 1.0);
   const auto target = static_cast<std::size_t>(
@@ -71,23 +106,31 @@ TriangleMesh SimplifyToFraction(const TriangleMesh& input, double fraction) {
   if (fraction >= 0.999) return input;
 
   // Triangle yield grows with grid resolution; bisect on cells_per_axis.
+  // Probes only count survivors; the mesh is built once, at the chosen grid.
+  const Aabb box = input.Bounds();
+  std::vector<std::uint64_t> keys;
   std::size_t lo = 2, hi = 4096;
-  TriangleMesh best = SimplifyGrid(input, lo);
+  std::size_t best_cells = lo;
+  std::size_t best_count = CountSurvivors(input, box, lo, keys);
   while (lo + 1 < hi) {
     const std::size_t mid = (lo + hi) / 2;
-    TriangleMesh candidate = SimplifyGrid(input, mid);
-    if (candidate.triangle_count() < target) {
+    const std::size_t count = CountSurvivors(input, box, mid, keys);
+    if (count < target) {
       lo = mid;
-      best = std::move(candidate);
+      best_cells = mid;
+      best_count = count;
     } else {
       hi = mid;
       // Keep the closer of the two bounds.
-      const auto err_hi = candidate.triangle_count() - target;
-      const auto err_lo = target > best.triangle_count() ? target - best.triangle_count() : 0;
-      if (err_hi < err_lo) best = std::move(candidate);
+      const auto err_hi = count - target;
+      const auto err_lo = target > best_count ? target - best_count : 0;
+      if (err_hi < err_lo) {
+        best_cells = mid;
+        best_count = count;
+      }
     }
   }
-  return best;
+  return SimplifyGrid(input, best_cells);
 }
 
 TriangleMesh BoundingBoxProxy(const TriangleMesh& input) {

@@ -19,9 +19,14 @@ namespace vtp::mesh {
 /// monotonically as the grid coarsens.
 TriangleMesh SimplifyGrid(const TriangleMesh& input, std::size_t cells_per_axis);
 
+/// `SimplifyGrid(input, cells_per_axis).triangle_count()`, without building
+/// the mesh: counts triangles whose vertices fall in three distinct cells.
+std::size_t SimplifyGridTriangleCount(const TriangleMesh& input, std::size_t cells_per_axis);
+
 /// Binary-searches the grid resolution so the output has approximately
 /// `fraction` of the input's triangles (within ~10%, clamped by what
-/// clustering can achieve). `fraction` in (0, 1].
+/// clustering can achieve). `fraction` in (0, 1]. Each probe only counts
+/// surviving triangles; the mesh is built once, at the chosen resolution.
 TriangleMesh SimplifyToFraction(const TriangleMesh& input, double fraction);
 
 /// The 12-triangle bounding-box proxy of a mesh (used when content is

@@ -7,7 +7,7 @@
 namespace vtp::semantic {
 
 PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, ReconstructorConfig config)
-    : base_(std::move(base)), current_(base_) {
+    : base_positions_(base.positions), current_(std::move(base)) {
   neutral_points_ = ExtractSemanticSubset(NeutralLayout());
   const float sigma2 = 2.0f * config.influence_sigma_m * config.influence_sigma_m;
   const float max_d2 = config.max_influence_m * config.max_influence_m;
@@ -18,9 +18,9 @@ PersonaReconstructor::PersonaReconstructor(mesh::TriangleMesh base, Reconstructo
     std::uint16_t keypoint;
   };
   std::vector<Candidate> candidates;
-  for (std::uint32_t vi = 0; vi < base_.positions.size(); ++vi) {
+  for (std::uint32_t vi = 0; vi < base_positions_.size(); ++vi) {
     candidates.clear();
-    const Vec3 v = base_.positions[vi];
+    const Vec3 v = base_positions_[vi];
     for (std::size_t k = 0; k < neutral_points_.size(); ++k) {
       const Vec3 d = v - neutral_points_[k];
       const float d2 = d.Dot(d);
@@ -63,7 +63,7 @@ const mesh::TriangleMesh& PersonaReconstructor::Apply(std::span<const Vec3> poin
       if (inf.weight[i] == 0) break;
       offset = offset + delta[inf.keypoint[i]] * inf.weight[i];
     }
-    current_.positions[inf.vertex] = base_.positions[inf.vertex] + offset;
+    current_.positions[inf.vertex] = base_positions_[inf.vertex] + offset;
   }
   return current_;
 }

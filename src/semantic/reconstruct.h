@@ -51,7 +51,7 @@ class PersonaReconstructor {
     std::array<float, 4> weight;  // normalized; unused slots zero
   };
 
-  mesh::TriangleMesh base_;
+  std::vector<Vec3> base_positions_;  ///< enrollment pose; topology lives in current_
   mesh::TriangleMesh current_;
   std::vector<Vec3> neutral_points_;
   std::vector<VertexInfluence> influences_;

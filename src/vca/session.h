@@ -188,6 +188,9 @@ class TelepresenceSession {
   void Setup2dPipelines();
   void SetupRenderLoops();
   void SetupSpatialAdaptation();
+  /// Periodic timers; each re-arms itself until the session's duration.
+  void AdaptTick();
+  void SubscriptionTick(std::size_t self);
   void UpdateSubscriberAdapt(net::SimTime now);
   void SendRungRequest(std::size_t participant, std::uint8_t target, bool coarse);
 

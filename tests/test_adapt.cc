@@ -480,6 +480,9 @@ TEST_F(AdaptOnSession, UncappedSessionStaysAtFullQualityWithFec) {
   EXPECT_GT(session.spatial_sender(0)->fec_parity_bytes_sent(), 0u);
   const auto report = session.BuildReport();
   EXPECT_GT(report.participants[1].persona_available_fraction, 0.97);
+  // Pinned event count: the 200 ms adapt tick fires at the same simulated
+  // instants however its re-arming is written.
+  EXPECT_EQ(session.sim().events_executed(), 79934u);
 }
 
 TEST_F(AdaptOnSession, CappedUplinkWalksDownTheLadderAndStaysAvailable) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "semantic/generator.h"
 #include "semantic/reconstruct.h"
@@ -258,14 +259,19 @@ TEST(Integration, DeliveryCullingSavesRealBandwidth) {
     vca::TelepresenceSession session(std::move(config));
     session.Run();
     const vca::SessionReport report = session.BuildReport();
-    return std::make_pair(report.participants[0].downlink_mbps.mean,
-                          report.participants[0].persona_available_fraction);
+    return std::make_tuple(report.participants[0].downlink_mbps.mean,
+                           report.participants[0].persona_available_fraction,
+                           session.sim().events_executed());
   };
-  const auto [down_plain, avail_plain] = run(false);
-  const auto [down_culled, avail_culled] = run(true);
+  const auto [down_plain, avail_plain, events_plain] = run(false);
+  const auto [down_culled, avail_culled, events_culled] = run(true);
   EXPECT_LT(down_culled, down_plain * 0.95);  // real bytes saved
   EXPECT_GT(avail_plain, 0.95);
   EXPECT_GT(avail_culled, 0.90);  // visible personas still healthy
+  // Pinned event counts: the 250 ms subscription updater fires at the same
+  // simulated instants however its re-arming is written.
+  EXPECT_EQ(events_plain, 588597u);
+  EXPECT_EQ(events_culled, 553468u);
 }
 
 }  // namespace

@@ -2,9 +2,16 @@
 // LOD simplifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "compress/bitstream.h"
+#include "compress/entropy.h"
+#include "compress/range_coder.h"
+#include "compress/varint.h"
 #include "mesh/codec.h"
 #include "mesh/generator.h"
 #include "mesh/mesh.h"
@@ -162,6 +169,34 @@ TEST(MeshCodec, CorruptInputsThrow) {
   EXPECT_ANY_THROW(DecodeMesh(truncated));
 }
 
+// A well-formed one-vertex stream (4-bit grid over the unit cube) whose
+// three position residuals are `residual`.
+std::vector<std::uint8_t> OneVertexStream(std::int64_t residual) {
+  std::vector<std::uint8_t> out = {'V', 'M', 'C', '1', 4};
+  compress::PutUleb128(out, 1);  // vertices
+  compress::PutUleb128(out, 0);  // triangles
+  out.insert(out.end(), 12, 0x00);  // min: 0.0f x3 (big-endian floats)
+  for (int i = 0; i < 3; ++i) out.insert(out.end(), {0x3f, 0x80, 0x00, 0x00});  // max: 1.0f
+  compress::RangeEncoder rc(&out);
+  std::array<compress::SignedValueCoder, 3> coders;
+  for (auto& coder : coders) coder.Encode(rc, residual);
+  rc.Flush();
+  return out;
+}
+
+TEST(MeshCodec, PositionOutsideTheGridThrows) {
+  // In range: grid 15 maps q = 15 to the box maximum.
+  const TriangleMesh edge = DecodeMesh(OneVertexStream(15));
+  ASSERT_EQ(edge.vertex_count(), 1u);
+  EXPECT_FLOAT_EQ(edge.positions[0].x, 1.0f);
+  // One past the grid, below zero, and far past it all reject. (The encoder
+  // writes at most 32 direct bits, so forged 62-bit residuals are left to
+  // Fuzz.MeshDecodeNeverCrashes.)
+  EXPECT_THROW(DecodeMesh(OneVertexStream(16)), compress::CorruptStream);
+  EXPECT_THROW(DecodeMesh(OneVertexStream(-1)), compress::CorruptStream);
+  EXPECT_THROW(DecodeMesh(OneVertexStream(std::int64_t{1} << 30)), compress::CorruptStream);
+}
+
 TEST(MeshCodec, RejectsBadQuantizationBits) {
   EXPECT_THROW(EncodeMesh(TriangleMesh{}, {.position_bits = 0}), std::invalid_argument);
   EXPECT_THROW(EncodeMesh(TriangleMesh{}, {.position_bits = 22}), std::invalid_argument);
@@ -202,6 +237,63 @@ TEST_P(SimplifyFraction, LandsNearRequestedFraction) {
 
 // The paper's ratios: peripheral 21036/78030 = 0.27, distance 45036/78030 = 0.577.
 INSTANTIATE_TEST_SUITE_P(Fractions, SimplifyFraction, ::testing::Values(0.27, 0.577, 0.8, 0.1));
+
+// The fraction search with every probe building the full SimplifyGrid mesh,
+// as the simplifier once ran it: a differential oracle for the count-only
+// search, which must pick the same grid and so return the same bytes.
+TriangleMesh SimplifyToFractionByFullBuild(const TriangleMesh& input, double fraction) {
+  fraction = std::clamp(fraction, 1e-6, 1.0);
+  const auto target = static_cast<std::size_t>(
+      static_cast<double>(input.triangle_count()) * fraction);
+  if (fraction >= 0.999) return input;
+
+  // Triangle yield grows with grid resolution; bisect on cells_per_axis.
+  std::size_t lo = 2, hi = 4096;
+  TriangleMesh best = SimplifyGrid(input, lo);
+  while (lo + 1 < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    TriangleMesh candidate = SimplifyGrid(input, mid);
+    if (candidate.triangle_count() < target) {
+      lo = mid;
+      best = std::move(candidate);
+    } else {
+      hi = mid;
+      // Keep the closer of the two bounds.
+      const auto err_hi = candidate.triangle_count() - target;
+      const auto err_lo = target > best.triangle_count() ? target - best.triangle_count() : 0;
+      if (err_hi < err_lo) best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+bool SameBytes(const TriangleMesh& a, const TriangleMesh& b) {
+  return a.positions.size() == b.positions.size() && a.triangles == b.triangles &&
+         std::memcmp(a.positions.data(), b.positions.data(),
+                     a.positions.size() * sizeof(Vec3)) == 0;
+}
+
+TEST(Simplify, GridTriangleCountMatchesBuiltMesh) {
+  for (const TriangleMesh& mesh : {GenerateHead(40000, 10), GeneratePersona(1000)}) {
+    for (const std::size_t cells : {1u, 2u, 3u, 7u, 64u, 511u, 4095u}) {
+      EXPECT_EQ(SimplifyGridTriangleCount(mesh, cells), SimplifyGrid(mesh, cells).triangle_count())
+          << "cells_per_axis " << cells;
+    }
+  }
+}
+
+TEST(Simplify, FractionSearchMatchesFullBuildOracle) {
+  std::vector<TriangleMesh> meshes = {GenerateHead(40000, 10)};
+  for (std::uint64_t seed = 1000; seed <= 1004; ++seed) meshes.push_back(GeneratePersona(seed));
+  for (std::size_t m = 0; m < meshes.size(); ++m) {
+    for (const double fraction : {0.1, 0.27, 0.577, 0.8}) {
+      const TriangleMesh fast = SimplifyToFraction(meshes[m], fraction);
+      const TriangleMesh oracle = SimplifyToFractionByFullBuild(meshes[m], fraction);
+      EXPECT_EQ(fast.triangle_count(), oracle.triangle_count());
+      EXPECT_TRUE(SameBytes(fast, oracle)) << "mesh " << m << " fraction " << fraction;
+    }
+  }
+}
 
 TEST(Simplify, BoundingBoxProxyIsTwelveTriangles) {
   const TriangleMesh mesh = GenerateHead(5000, 2);

@@ -2,7 +2,9 @@
 // calibrated cost model, scenarios, and the frame loop.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -134,6 +136,38 @@ TEST(LodLadder, TriangleCountsMatchPaperRatios) {
   EXPECT_NEAR(distance_ratio, 0.577, 0.2);
   EXPECT_NEAR(peripheral_ratio, 0.27, 0.12);
   EXPECT_LT(peripheral_ratio, distance_ratio);
+}
+
+// FNV-1a over a mesh's position bit patterns, then its indices (each word
+// little-endian).
+std::uint64_t MeshDigest(const mesh::TriangleMesh& m) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto put = [&h](std::uint32_t word) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (word >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const mesh::Vec3& p : m.positions) {
+    for (const float f : {p.x, p.y, p.z}) put(std::bit_cast<std::uint32_t>(f));
+  }
+  for (const auto& t : m.triangles) {
+    for (const std::uint32_t i : t) put(i);
+  }
+  return h;
+}
+
+TEST(LodLadder, PersonaOneMatchesGolden) {
+  // Pinned from the fraction search that built a full mesh at every probe;
+  // the count-only search must land on the same grids. Simplified vertex
+  // order follows std::unordered_map iteration (libstdc++).
+  const PersonaLodLadder ladder(1, LodPolicy{});
+  EXPECT_EQ(ladder.TriangleCount(LodClass::kDistance), 44910u);
+  EXPECT_EQ(ladder.TriangleCount(LodClass::kPeripheral), 21060u);
+  EXPECT_EQ(MeshDigest(ladder.MeshFor(LodClass::kFull)), 0x5223c89002669f97ull);
+  EXPECT_EQ(MeshDigest(ladder.MeshFor(LodClass::kDistance)), 0x979ba5fd51c18c66ull);
+  EXPECT_EQ(MeshDigest(ladder.MeshFor(LodClass::kPeripheral)), 0x03fa92d1f8fa2da4ull);
+  EXPECT_EQ(MeshDigest(ladder.MeshFor(LodClass::kProxy)), 0xa91e9743ab6b4f47ull);
 }
 
 // --- cost model ----------------------------------------------------------------------
